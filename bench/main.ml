@@ -624,7 +624,6 @@ let experiment_parallel options =
      warm columns from one workers setting into the next. *)
   let fresh_data () = Dataset.of_rows ~var_names:Ota.var_names train.Ota.inputs in
   let jobs_list = if options.smoke then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  let shards_list = [ 1; 2; 4 ] in
   let wall f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -664,14 +663,6 @@ let experiment_parallel options =
           (Search.run_multi ~seed:options.seed ~executor ~restarts:4 islands_config ~data
              ~targets))
   in
-  let islands_processes_case shards =
-    let data = fresh_data () in
-    Executor.with_executor ~shards Executor.Processes @@ fun executor ->
-    wall (fun () ->
-        signature
-          (Search.run_multi ~seed:options.seed ~executor ~restarts:4 islands_config ~data
-             ~targets))
-  in
   let forward_case jobs =
     (* Same seed every call: the candidate columns are identical across
        workers settings, so selections must match exactly. *)
@@ -691,73 +682,45 @@ let experiment_parallel options =
              (Array.map string_of_int
                 (Linfit.forward_select ~executor ~max_bases:12 ~basis_values:columns ~targets ()))))
   in
-  (* Each group: (name, backend, workers label, effective-workers fn, case,
-     workers list).  Domain counts are clamped to the cores; worker-process
-     counts are not (processes do not share the GC) but never exceed the 4
-     islands. *)
+  (* Each group: (name, case).  Every group runs on the domains backend
+     over [jobs_list]; domain counts are clamped to the cores. *)
   let groups =
-    [
-      ("search", "domains", Pool.effective_jobs, search_case, jobs_list);
-      ("islands", "domains", Pool.effective_jobs, islands_case, jobs_list);
-      ("islands_processes", "processes", Stdlib.min 4, islands_processes_case, shards_list);
-      ("forward_select", "domains", Pool.effective_jobs, forward_case, jobs_list);
-    ]
+    [ ("search", search_case); ("islands", islands_case); ("forward_select", forward_case) ]
   in
   let results =
     List.map
-      (fun (name, backend, effective, case, workers_list) ->
-        let measured = List.map (fun workers -> (workers, case workers)) workers_list in
+      (fun (name, case) ->
+        let measured = List.map (fun workers -> (workers, case workers)) jobs_list in
         let _, (reference, t1) = List.hd measured in
         let identical = List.for_all (fun (_, (r, _)) -> r = reference) measured in
         Printf.printf "\n%-18s %8s %10s %12s %9s\n" name "workers" "effective" "seconds"
           "speedup";
         List.iter
           (fun (workers, (_, t)) ->
-            Printf.printf "%-18s %8d %10d %12.3f %8.2fx\n" "" workers (effective workers) t
-              (t1 /. t))
+            Printf.printf "%-18s %8d %10d %12.3f %8.2fx\n" "" workers
+              (Pool.effective_jobs workers) t (t1 /. t))
           measured;
         Printf.printf "%-18s results identical across workers: %b\n" "" identical;
         ( name,
-          backend,
           identical,
-          reference,
-          List.map (fun (workers, (_, t)) -> (workers, effective workers, t, t1 /. t)) measured
+          List.map
+            (fun (workers, (_, t)) -> (workers, Pool.effective_jobs workers, t, t1 /. t))
+            measured
         ))
       groups
   in
-  let find_group name =
-    List.find (fun (group, _, _, _, _) -> group = name) results
-  in
-  (* The two island groups run the identical seeded workload under
-     different backends: their fronts must be bit-identical. *)
-  let cross_backend_identical =
-    let _, _, _, domains_front, _ = find_group "islands" in
-    let _, _, _, processes_front, _ = find_group "islands_processes" in
-    domains_front = processes_front
-  in
-  Printf.printf "\nislands front identical across domains/processes backends: %b\n"
-    cross_backend_identical;
   (* Speedup gate: on a multi-core host, every workload must have at least
      one multi-worker configuration strictly faster than its sequential
-     baseline (for islands, either backend may deliver it).  Single-core
-     hosts skip with a loud warning — never a silent pass. *)
-  let parallel_beats_baseline rows_list =
-    match List.concat rows_list with
+     baseline.  Single-core hosts skip with a loud warning — never a silent
+     pass. *)
+  let parallel_beats_baseline = function
     | [] -> false
     | (_, _, t1, _) :: _ as rows ->
         List.exists (fun (workers, _, t, _) -> workers > 1 && t < t1) rows
   in
-  let rows_of name = (fun (_, _, _, _, rows) -> rows) (find_group name) in
-  let gated =
-    [
-      ("search", [ rows_of "search" ]);
-      ("islands", [ rows_of "islands"; rows_of "islands_processes" ]);
-      ("forward_select", [ rows_of "forward_select" ]);
-    ]
-  in
   let gate_failures =
     if host_cores <= 1 then []
-    else List.filter (fun (_, rows) -> not (parallel_beats_baseline rows)) gated
+    else List.filter (fun (_, _, rows) -> not (parallel_beats_baseline rows)) results
   in
   let speedup_gate =
     if host_cores <= 1 then "skipped_single_core"
@@ -772,9 +735,9 @@ let experiment_parallel options =
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n";
     List.iteri
-      (fun i (name, backend, identical, _, rows) ->
+      (fun i (name, identical, rows) ->
         Buffer.add_string buf (Printf.sprintf "    \"%s\": {\n" name);
-        Buffer.add_string buf (Printf.sprintf "      \"backend\": \"%s\",\n" backend);
+        Buffer.add_string buf "      \"backend\": \"domains\",\n";
         Buffer.add_string buf (Printf.sprintf "      \"identical_results\": %b,\n" identical);
         Buffer.add_string buf "      \"runs\": [\n";
         List.iteri
@@ -800,20 +763,15 @@ let experiment_parallel options =
       ("dims", string_of_int dims);
       ("host_cores", string_of_int host_cores);
       ("speedup_gate", Printf.sprintf "\"%s\"" speedup_gate);
-      ("cross_backend_identical", string_of_bool cross_backend_identical);
       ("groups", groups);
     ];
-  if not (List.for_all (fun (_, _, identical, _, _) -> identical) results) then begin
+  if not (List.for_all (fun (_, identical, _) -> identical) results) then begin
     Printf.eprintf "parallel_scaling: results differ across workers settings\n";
-    exit 1
-  end;
-  if not cross_backend_identical then begin
-    Printf.eprintf "parallel_scaling: islands fronts differ between domains and processes\n";
     exit 1
   end;
   if gate_failures <> [] then begin
     List.iter
-      (fun (name, _) ->
+      (fun (name, _, _) ->
         Printf.eprintf
           "parallel_scaling: %s: no multi-worker configuration beat the sequential baseline \
            on a %d-core host\n"
@@ -1180,16 +1138,15 @@ let experiment_dedup options =
          outcome.Search.front)
   in
   (* --- exactness: the front must not move when the cache turns on --------- *)
-  let front_of backend ?jobs ?shards mode =
+  let front_of backend ?jobs mode =
     let data = fresh_data () in
-    Executor.with_executor ?jobs ?shards backend @@ fun executor ->
+    Executor.with_executor ?jobs backend @@ fun executor ->
     signature (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets)
   in
   let backends =
     [
       ("seq", fun mode -> front_of Executor.Seq mode);
       ("domains_4", fun mode -> front_of Executor.Domains ~jobs:4 mode);
-      ("processes_3", fun mode -> front_of Executor.Processes ~shards:3 mode);
     ]
   in
   let reference = (snd (List.hd backends)) Eval_cache.Off in
@@ -1207,9 +1164,8 @@ let experiment_dedup options =
   in
   let fronts_identical = List.for_all snd exactness in
   (* --- effectiveness: hit rate of one seeded sequential run --------------- *)
-  (* Process-wide counter deltas around an in-process run isolate this run's
-     cache traffic (worker processes keep their own counters, so only the
-     seq path is measured here). *)
+  (* Process-wide counter deltas around the run isolate its cache
+     traffic. *)
   let traffic mode =
     let data = fresh_data () in
     let before = Eval_cache.global_stats () in
@@ -1452,9 +1408,9 @@ let experiment_fuse options =
              (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") m.Model.weights))))
          outcome.Search.front)
   in
-  let front_of backend ?jobs ?shards ~fuse mode =
+  let front_of backend ?jobs ~fuse mode =
     let data = fresh_data () in
-    Executor.with_executor ?jobs ?shards backend @@ fun executor ->
+    Executor.with_executor ?jobs backend @@ fun executor ->
     signature (Search.run ~seed ~executor ~eval_cache:mode ~fuse config ~data ~targets)
   in
   let reference = front_of Executor.Seq ~fuse:true Eval_cache.Off in
@@ -1466,9 +1422,6 @@ let experiment_fuse options =
       ("seq_fused_behavioral", front_of Executor.Seq ~fuse:true Eval_cache.Behavioral);
       ("domains_4_fused_off", front_of Executor.Domains ~jobs:4 ~fuse:true Eval_cache.Off);
       ("domains_4_unfused_off", front_of Executor.Domains ~jobs:4 ~fuse:false Eval_cache.Off);
-      ("processes_3_fused_off", front_of Executor.Processes ~shards:3 ~fuse:true Eval_cache.Off);
-      ( "processes_3_unfused_off",
-        front_of Executor.Processes ~shards:3 ~fuse:false Eval_cache.Off );
     ]
   in
   let exactness = List.map (fun (name, s) -> (name, s = reference)) front_cases in

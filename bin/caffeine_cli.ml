@@ -174,7 +174,25 @@ let load_streaming ~path ~target ~chunk_rows =
       (tmp, true)
     end
   in
-  let store = Colstore.openfile store_path in
+  let store =
+    match Colstore.openfile store_path with
+    | store -> store
+    | exception (Invalid_argument msg | Sys_error msg) ->
+        (* Colstore errors read "Colstore: PATH: reason" and system errors
+           "PATH: reason"; report the reason under the same "cannot read
+           PATH" line CSV errors use. *)
+        let reason =
+          List.fold_left
+            (fun msg prefix ->
+              if String.starts_with ~prefix msg then
+                String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+              else msg)
+            msg
+            [ "Colstore: "; store_path ^ ": " ]
+        in
+        Printf.eprintf "cannot read %s: %s\n" path reason;
+        exit 2
+  in
   if temporary then
     at_exit (fun () -> try Sys.remove store_path with Sys_error _ -> ());
   let names = Colstore.var_names store in
@@ -193,7 +211,7 @@ let load_streaming ~path ~target ~chunk_rows =
   let data = Dataset.of_colstore ~exclude:(target :: performance_names) store in
   (data, targets)
 
-let fit train_path test_path target pop gens seed jobs backend shards log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache eval_cache_limit no_fuse data_stream chunk_rows out =
+let fit train_path test_path target pop gens seed jobs backend log_target grammar_path max_bases no_sag verbose trace_path metrics checkpoint_opt checkpoint_every resume_path kill_after eval_cache eval_cache_limit no_fuse data_stream chunk_rows out =
   let fuse = not no_fuse in
   let data, raw_targets =
     (* A .cafs store has no dense representation to load — packed input
@@ -222,11 +240,9 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
             exit 2)
   in
   (* Resolve the parallelism up front (0 = auto) so the banner reports
-     what the run actually uses: worker domains for --backend domains
-     (clamped to the core count), worker processes for --backend
-     processes (not clamped — processes do not share the GC). *)
+     what the run actually uses: worker domains for --backend domains,
+     clamped to the core count. *)
   let jobs = Pool.effective_jobs jobs in
-  let shards = if shards >= 1 then shards else Pool.effective_jobs 0 in
   let config =
     {
       (Config.scaled ~pop_size:pop ~generations:gens ~jobs Config.paper) with
@@ -238,8 +254,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
     target (Array.length targets) (Array.length var_names) pop gens seed
     (match backend with
     | Executor.Seq -> "seq"
-    | Executor.Domains -> Printf.sprintf "domains, jobs %d" jobs
-    | Executor.Processes -> Printf.sprintf "processes, shards %d" shards);
+    | Executor.Domains -> Printf.sprintf "domains, jobs %d" jobs);
   let trace_channel = Option.map open_out trace_path in
   let trace = match trace_channel with Some ch -> Trace.of_channel ch | None -> Trace.null in
   (* An invalid CAFFEINE_JOBS already warned on stderr inside
@@ -308,7 +323,7 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
      selection; under --backend domains with jobs = 1 no pool (and no
      extra domain) is created at all. *)
   let front =
-    Executor.with_executor ~jobs ~shards backend @@ fun executor ->
+    Executor.with_executor ~jobs backend @@ fun executor ->
     let run_sag ?(already = []) front =
       if no_sag then front
       else begin
@@ -404,8 +419,6 @@ let fit train_path test_path target pop gens seed jobs backend shards log_target
     Printf.printf "  dot products:  %d cached, %d hits, %d misses, %d evictions\n"
       s.Dataset.dots_cached s.Dataset.dot_hits s.Dataset.dot_misses s.Dataset.dot_evictions;
     if eval_cache <> Eval_cache.Off then begin
-      (* Coordinator-side counters only: under --backend processes the
-         worker caches live and die in the forked workers. *)
       let g = Eval_cache.global_stats () in
       let lookups = g.Eval_cache.total_hits + g.Eval_cache.total_misses in
       let hit_rate =
@@ -456,8 +469,8 @@ let seed_arg = Arg.(value & opt int 17 & info [ "seed" ] ~docv:"N" ~doc:"Random 
 let jobs_arg =
   let doc =
     "Worker domains for parallel evaluation under $(b,--backend domains) (0 = auto: \
-     \\$(b,CAFFEINE_JOBS) or all recommended cores; always clamped to the core count).  \
-     Results are identical for any value."
+     \\$(b,CAFFEINE_JOBS) or all recommended cores; always clamped to the core count); \
+     ignored under $(b,--backend seq).  Results are identical for any value."
   in
   Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -468,20 +481,10 @@ let backend_arg =
   let print ppf b = Format.pp_print_string ppf (Executor.backend_name b) in
   let doc =
     "Execution backend: $(b,seq) runs everything on the calling domain; $(b,domains) fans \
-     objective evaluation across worker domains sharing the heap (see $(b,--jobs)); \
-     $(b,processes) forks worker processes and runs whole islands in them (see \
-     $(b,--shard)), immune to the cross-domain GC coupling that makes domains lose on \
-     small populations.  The final front is bit-identical under every backend."
+     objective evaluation and SAG candidate scoring across a pool of worker domains (see \
+     $(b,--jobs)).  The final front is bit-identical under both backends."
   in
   Arg.(value & opt (conv (parse, print)) Executor.Domains & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-let shard_arg =
-  let doc =
-    "Worker processes for $(b,--backend processes) (0 = auto: one per core).  Never more \
-     workers than islands; unlike $(b,--jobs) the value is not clamped to the core count.  \
-     Results are identical for any value."
-  in
-  Arg.(value & opt int 0 & info [ "shard" ] ~docv:"N" ~doc)
 
 let log_target_arg =
   Arg.(value & flag & info [ "log-target" ] ~doc:"Model log10 of the target (the paper's fu scaling).")
@@ -627,7 +630,7 @@ let fit_cmd =
   Cmd.v info
     Term.(
       const fit $ train_arg $ test_arg $ target_arg $ pop_arg $ gens_arg $ seed_arg $ jobs_arg
-      $ backend_arg $ shard_arg $ log_target_arg $ grammar_arg $ max_bases_arg $ no_sag_arg $ verbose_arg $ trace_out_arg
+      $ backend_arg $ log_target_arg $ grammar_arg $ max_bases_arg $ no_sag_arg $ verbose_arg $ trace_out_arg
       $ metrics_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ kill_after_arg
       $ eval_cache_arg $ eval_cache_limit_arg $ no_fuse_arg $ data_stream_arg $ chunk_rows_arg
       $ fit_out_arg)
@@ -1061,7 +1064,6 @@ let trace_command path counts =
       | Trace.Checkpoint_written _ -> "checkpoint_written"
       | Trace.Run_resumed _ -> "run_resumed"
       | Trace.Warning _ -> "warning"
-      | Trace.Migration _ -> "migration"
       | Trace.Run_end _ -> "run_end"
     in
     let tally = Hashtbl.create 16 in

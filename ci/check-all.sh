@@ -4,7 +4,7 @@
 set -eu
 
 here=$(dirname "$0")
-for script in fuse-determinism trace-determinism-jobs backend-determinism \
+for script in fuse-determinism trace-determinism-jobs \
               kill-resume serve-e2e stream-gate; do
   echo "=== ci/$script.sh"
   "$here/$script.sh"

@@ -3,10 +3,12 @@
 #
 #   1. Ingestion bugfixes at the CLI level: CRLF files parse (and error
 #      messages quote cells without the carriage return), duplicate CSV
-#      headers are rejected naming the column and both positions.
+#      headers are rejected naming the column and both positions, and a
+#      truncated or foreign .cafs store is refused with exit 2 and one
+#      "cannot read PATH: reason" line.
 #   2. Front bit-identity: the same seeded fit must print byte-identical
 #      fronts dense vs --data-stream, from CSV input and from a packed
-#      .cafs store, across execution backends.
+#      .cafs store, at the sequential and domains backends.
 #   3. The memory gate: bench --experiment stream fits >= 2^20 waveform
 #      samples and asserts (via VmHWM, in process) that peak RSS stays
 #      under 50% of the dense feature-matrix footprint; when
@@ -66,14 +68,29 @@ diff -u "$scratch/front-dense.txt" "$scratch/front-stream.txt"
   --data-stream --backend domains --jobs 3 --out "$scratch/front-cafs-domains.txt"
 diff -u "$scratch/front-dense.txt" "$scratch/front-cafs-domains.txt"
 "$CLI" fit --train "$scratch/data.cafs" --target PM --pop 30 --gens 8 --seed 17 \
-  --data-stream --backend processes --shard 2 --out "$scratch/front-cafs-proc.txt"
-diff -u "$scratch/front-dense.txt" "$scratch/front-cafs-proc.txt"
+  --data-stream --backend seq --out "$scratch/front-cafs-seq.txt"
+diff -u "$scratch/front-dense.txt" "$scratch/front-cafs-seq.txt"
 
 # .cafs input implies --data-stream — a packed store must never fall
 # through to the CSV parser.
 "$CLI" fit --train "$scratch/data.cafs" --target PM --pop 30 --gens 8 --seed 17 \
   --out "$scratch/front-cafs-noflag.txt"
 diff -u "$scratch/front-dense.txt" "$scratch/front-cafs-noflag.txt"
+
+# A truncated store and a file with a foreign magic number must each be
+# refused with exit 2 and a single "cannot read PATH: reason" line.
+head -c 3000 "$scratch/data.cafs" > "$scratch/truncated.cafs"
+printf 'NOTCAFS!%01016d' 0 > "$scratch/foreign.cafs"
+for bad in truncated foreign; do
+  rc=0
+  "$CLI" fit --train "$scratch/$bad.cafs" --target PM --out "$scratch/never.txt" \
+    2> "$scratch/$bad.err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "stream-gate: $bad.cafs exited $rc, expected 2" >&2; exit 1
+  fi
+  grep -q "^cannot read $scratch/$bad.cafs: " "$scratch/$bad.err"
+  test "$(wc -l < "$scratch/$bad.err")" -eq 1
+done
 
 # --- 3. million-sample RSS gate -------------------------------------------
 

@@ -346,13 +346,6 @@ let sag_line front processed =
   Buffer.add_char buffer '}';
   Buffer.contents buffer
 
-(* The island line doubles as the wire format of the multi-process island
-   backend (Shard): the coordinator sends each worker its assignments as
-   island lines, and workers send progress and final fronts back as
-   island lines, so a migrated front is byte-for-byte what the snapshot
-   file would hold. *)
-let island_to_line ~index island = island_line index island
-
 let island_of fields =
   match Json.str_of fields "status" with
   | "pending" -> Pending (rng_state_of fields "rng")
@@ -365,11 +358,6 @@ let island_of fields =
         }
   | "done" -> Done (models_of fields "front")
   | status -> raise (Json.Parse_error (Printf.sprintf "unknown island status %S" status))
-
-let island_of_json json =
-  let fields = Json.obj json in
-  if Json.str_of fields "type" <> "island" then raise (Json.Parse_error "not an island line");
-  (Json.int_of fields "index", island_of fields)
 
 (* {2 Save / load} *)
 

@@ -91,21 +91,3 @@ val save : path:string -> t -> unit
 val load : path:string -> (t, string) result
 (** Read a snapshot back.  Errors on I/O failure, malformed JSON, or a
     [version] mismatch. *)
-
-(** {2 Island wire codec}
-
-    The snapshot's island line doubles as the wire format of the
-    multi-process island backend ({!Shard}): assignments travel to worker
-    processes, and progress and final fronts travel back, as exactly the
-    lines a snapshot file holds.  Both directions round-trip
-    bit-identically ([Rng.state] words, [%.17g] floats, exact expression
-    trees), which is what keeps the process backend's fronts equal to the
-    sequential run's. *)
-
-val island_to_line : index:int -> island -> string
-(** One JSON line (no trailing newline) encoding [island] at [index]. *)
-
-val island_of_json : Caffeine_obs.Json.t -> int * island
-(** Decode a parsed island line back to [(index, island)].  Raises
-    [Caffeine_obs.Json.Parse_error] on anything that is not an island
-    line. *)

@@ -114,4 +114,4 @@ type global_stats = { total_hits : int; total_misses : int; total_evictions : in
 
 val global_stats : unit -> global_stats
 (** Process-wide [eval.cache_*] counter values (all instances of this
-    process combined — worker processes keep their own). *)
+    process combined). *)

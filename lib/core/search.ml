@@ -87,10 +87,9 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
     | Some model -> [| model.Model.train_error; model.Model.complexity |]
     | None -> [| Float.infinity; Model.complexity_of ~wb ~wvc individual |]
   in
-  (* One cache per run_with_rng call, so every island — and, under the
-     process backend, every forked worker — owns a private instance.  The
-     cache is rebuildable derived state: it never enters checkpoint
-     snapshots, and resumed runs simply start cold. *)
+  (* One cache per run_with_rng call, so every island owns a private
+     instance.  The cache is rebuildable derived state: it never enters
+     checkpoint snapshots, and resumed runs simply start cold. *)
   let eval_cache =
     match eval_cache with
     | Eval_cache.Off -> None
@@ -286,25 +285,17 @@ type checkpoint_ctx = {
 
 let m_resumed = Metrics.counter Metrics.default "checkpoint.resumed"
 
-(* The file write and its trace mark are separate on purpose: the process
-   backend writes snapshots eagerly as worker progress arrives but emits
-   the marks through the island-ordered delivery queue, so the trace stays
-   deterministic while the file on disk is always current. *)
-let write_snapshot ctx islands =
+let save_snapshot ~trace ctx islands ~island ~gen =
   Checkpoint.save ~path:ctx.ckpt_path
     {
       Checkpoint.fingerprint = ctx.ckpt_fingerprint;
       seed = ctx.ckpt_seed;
       restarts = Array.length islands;
       phase = Checkpoint.Evolving islands;
-    }
-
-let written_mark ctx ~island ~gen =
-  Trace.Checkpoint_written { path = ctx.ckpt_path; phase = "evolving"; island; gen }
-
-let save_snapshot ~trace ctx islands ~island ~gen =
-  write_snapshot ctx islands;
-  if not (Trace.is_null trace) then Trace.emit trace (written_mark ctx ~island ~gen)
+    };
+  if not (Trace.is_null trace) then
+    Trace.emit trace
+      (Trace.Checkpoint_written { path = ctx.ckpt_path; phase = "evolving"; island; gen })
 
 (* Initial island states: fresh generator snapshots, or (validated against
    this run's fingerprint, seed and island count) the snapshot's islands. *)
@@ -345,101 +336,41 @@ let resume_islands ?resume ~trace ~fingerprint ~seed ~restarts ~entry fresh_stat
           end;
           Array.copy islands)
 
-(* {3 Island state decoding, shared by every backend} *)
-
-let island_start = function
-  | Checkpoint.Pending state -> (Rng.of_state state, None)
-  | Checkpoint.In_progress { gen; rng; population } -> (Rng.of_state rng, Some (gen, population))
-  | Checkpoint.Done _ -> assert false
-
-(* {3 The multi-process island backend}
-
-   Islands fan out across forked worker processes (Shard); the
-   coordinator owns the snapshot file and the trace sink.  Workers
-   compute exactly what the in-process path computes — same generator
-   state, sequential inner execution — and stream generation records and
-   checkpoint progress back over their result pipe; Shard releases those
-   to [deliver] in island order, so the emitted trace is the sequential
-   trace (plus one Migration record per island). *)
-let run_islands_processes ~shards ~trace ?on_generation ?checkpoint ~eval_cache
-    ~eval_cache_limit ~fuse islands config ~data ~targets =
+let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
+    ~fuse islands config ~data ~targets =
   let generations = config.Config.generations in
-  let observing = (not (Trace.is_null trace)) || Option.is_some on_generation in
-  let run_island ~emit ~progress ~island:_ state =
-    (* Worker-process side.  [emit]/[progress] write to the result pipe;
-       everything else is the plain sequential search. *)
-    match state with
-    | Checkpoint.Done front -> front
-    | Checkpoint.Pending _ | Checkpoint.In_progress _ ->
-        let rng, start = island_start state in
-        let worker_trace = if observing then Trace.of_fn emit else Trace.null in
-        let on_checkpoint =
-          Option.map
-            (fun ctx gen population ->
-              if gen > 0 && gen mod ctx.ckpt_every = 0 && gen < generations then
-                progress ~gen ~rng:(Rng.to_state rng) ~population)
-            checkpoint
-        in
-        let outcome =
-          run_with_rng ~rng ~trace:worker_trace ?start ?on_checkpoint ~eval_cache
-            ~eval_cache_limit ~fuse config ~data ~targets
-        in
-        outcome.front
+  let evolve k rng start =
+    let on_checkpoint =
+      Option.map
+        (fun ctx gen population ->
+          if gen > 0 && gen mod ctx.ckpt_every = 0 && gen < generations then begin
+            islands.(k) <- Checkpoint.In_progress { gen; rng = Rng.to_state rng; population };
+            save_snapshot ~trace ctx islands ~island:k ~gen
+          end)
+        checkpoint
+    in
+    let on_generation = Option.map (fun f record -> f ~island:k record) on_generation in
+    let outcome =
+      (* Each island reuses the shared executor for its inner evaluation
+         loop; when the islands themselves are fanned out below, those
+         nested calls fall back to sequential evaluation inside the
+         island. *)
+      run_with_rng ~rng ~executor ~trace ?on_generation ?start ?on_checkpoint ~eval_cache
+        ~eval_cache_limit ~fuse config ~data ~targets
+    in
+    (match checkpoint with
+    | Some ctx ->
+        islands.(k) <- Checkpoint.Done outcome.front;
+        save_snapshot ~trace ctx islands ~island:k ~gen:generations
+    | None -> ());
+    outcome.front
   in
-  let snapshot = Option.map (fun ctx () -> write_snapshot ctx islands) checkpoint in
-  let on_progress = Option.map (fun write ~island:_ ~gen:_ -> write ()) snapshot in
-  let on_done = Option.map (fun write ~island:_ -> write ()) snapshot in
-  let mark ~island ~gen =
-    match checkpoint with
-    | Some ctx -> if not (Trace.is_null trace) then Trace.emit trace (written_mark ctx ~island ~gen)
-    | None -> ()
-  in
-  let deliver ~island event =
-    match event with
-    | Shard.Record (Trace.Generation record) ->
-        if not (Trace.is_null trace) then Trace.emit trace (Trace.Generation record);
-        (match on_generation with None -> () | Some f -> f ~island record)
-    | Shard.Record record -> if not (Trace.is_null trace) then Trace.emit trace record
-    | Shard.Progress_saved gen -> mark ~island ~gen
-    | Shard.Done_saved -> mark ~island ~gen:generations
-  in
-  Shard.run_islands ~shards ?on_progress ?on_done ~deliver ~run_island islands
-
-(* {3 The in-process backends (sequential and domain pool)} *)
-
-let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache
-    ~eval_cache_limit ~fuse islands config ~data ~targets =
-  let generations = config.Config.generations in
   let run_island k =
     match islands.(k) with
     | Checkpoint.Done front -> front
-    | Checkpoint.Pending _ | Checkpoint.In_progress _ ->
-        let rng, start = island_start islands.(k) in
-        let on_checkpoint =
-          Option.map
-            (fun ctx gen population ->
-              if gen > 0 && gen mod ctx.ckpt_every = 0 && gen < generations then begin
-                islands.(k) <-
-                  Checkpoint.In_progress { gen; rng = Rng.to_state rng; population };
-                save_snapshot ~trace ctx islands ~island:k ~gen
-              end)
-            checkpoint
-        in
-        let on_generation = Option.map (fun f record -> f ~island:k record) on_generation in
-        let outcome =
-          (* Each island reuses the shared executor for its inner
-             evaluation loop; when the islands themselves are fanned out
-             below, those nested calls fall back to sequential evaluation
-             inside the island. *)
-          run_with_rng ~rng ~executor ~trace ?on_generation ?start ?on_checkpoint ~eval_cache
-            ~eval_cache_limit ~fuse config ~data ~targets
-        in
-        (match checkpoint with
-        | Some ctx ->
-            islands.(k) <- Checkpoint.Done outcome.front;
-            save_snapshot ~trace ctx islands ~island:k ~gen:generations
-        | None -> ());
-        outcome.front
+    | Checkpoint.Pending state -> evolve k (Rng.of_state state) None
+    | Checkpoint.In_progress { gen; rng; population } ->
+        evolve k (Rng.of_state rng) (Some (gen, population))
   in
   let indices = Array.init (Array.length islands) (fun k -> k) in
   (* A live trace, a generation callback or a checkpoint file pins the
@@ -452,16 +383,6 @@ let run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cac
     && Option.is_none checkpoint
   then Executor.map executor run_island indices
   else Array.map run_island indices
-
-let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-    ~fuse islands config ~data ~targets =
-  match Executor.backend executor with
-  | Executor.Processes ->
-      run_islands_processes ~shards:(Executor.shards executor) ~trace ?on_generation
-        ?checkpoint ~eval_cache ~eval_cache_limit ~fuse islands config ~data ~targets
-  | Executor.Seq | Executor.Domains ->
-      run_islands_in_process ~executor ~trace ?on_generation ?checkpoint ~eval_cache
-        ~eval_cache_limit ~fuse islands config ~data ~targets
 
 let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry config ~data
     ~targets =

@@ -20,24 +20,11 @@
     executor of [config.Config.jobs] domains is created for the call
     (which degenerates to sequential when [jobs <= 1]).
 
-    With a {!Caffeine_par.Executor.Processes} executor, {!run_multi}
-    fans whole islands out across forked worker processes ({!Shard}):
-    each island runs sequentially inside its worker — immune to OCaml
-    5's cross-domain GC coupling — and streams generation records,
-    checkpoint progress and its final front back to the coordinator over
-    a pipe using the {!Checkpoint} island-line codec.  The coordinator
-    re-serializes worker output into island order, so traces, generation
-    callbacks and snapshots behave exactly as in a sequential run (plus
-    one {!Caffeine_obs.Trace.Migration} record per arrived front).
-    {!run} under the process backend runs its single island in one
-    worker.
-
-    Results are {b bit-identical} across every backend and every
-    [jobs]/[shards] setting, including the sequential path: all
-    random-number consumption stays on the coordinating side in a fixed
-    order (or is replicated exactly in a worker), and only pure
-    per-genome evaluation — or a whole island's deterministic loop — is
-    distributed. *)
+    Results are {b bit-identical} across both backends and every [jobs]
+    setting, including the sequential path: all random-number
+    consumption stays on the coordinating domain in a fixed order, and
+    only pure per-genome evaluation — or a whole island's deterministic
+    loop — is distributed. *)
 
 module Expr = Caffeine_expr.Expr
 module Dataset = Caffeine_io.Dataset
@@ -89,19 +76,18 @@ val run :
     across structurally different candidates whose compiled probe outputs
     match exactly, and reports the population's distinct-fingerprint count
     in each generation record's [behavioral_diversity] field.  Each island
-    — and, under the process backend, each forked worker — owns a private
-    cache instance bounded by [eval_cache_limit] entries
+    owns a private cache instance bounded by [eval_cache_limit] entries
     (default {!Eval_cache.default_limit}).  Caches are rebuildable derived
     state: they never enter checkpoint snapshots, and resumed runs start
     cold.
 
     [fuse] (default [true]) evaluates each generation's miss-batch
     through fused multi-expression tapes ({!Caffeine_expr.Fused}): the
-    batch is split into one chunk per executor job (one chunk on
-    sequential and process executors), each worker hash-conses its
-    chunk's bases into a shared DAG, and subtrees shared across the chunk
-    are evaluated once with cache-tiled kernels before the per-genome
-    fits run against the warmed column cache.  Fused columns are
+    batch is split into one chunk per executor job (one chunk on the
+    sequential executor), each worker hash-conses its chunk's bases into
+    a shared DAG, and subtrees shared across the chunk are evaluated once
+    with cache-tiled kernels before the per-genome fits run against the
+    warmed column cache.  Fused columns are
     bit-identical to per-expression ones, so the evolved front is the
     same with fusion on or off, at every backend and cache mode.  When
     observing, one {!Caffeine_obs.Trace.Fused_stats} record per
@@ -148,15 +134,11 @@ val run_multi :
     Requires [restarts >= 1].
 
     With a live [trace], an [on_generation] callback or a
-    [checkpoint_path], the in-process backends run the islands
-    back-to-back on the calling domain (each still fans its inner
-    evaluation loop over the pool), so the generation records of island
-    [k] precede those of island [k+1] at every jobs setting and snapshot
-    writes never race — trading island-level parallelism for a
-    deterministic record sequence.  The process backend keeps both: the
-    {!Shard} coordinator buffers worker output and releases it in island
-    order, so the observed sequence matches the sequential one while the
-    islands still run concurrently.
+    [checkpoint_path], the islands run back-to-back on the calling domain
+    (each still fans its inner evaluation loop over the pool), so the
+    generation records of island [k] precede those of island [k+1] at
+    every jobs setting and snapshot writes never race — trading
+    island-level parallelism for a deterministic record sequence.
 
     Checkpointing and resuming work as in {!run}; a snapshot holds one
     entry per island (pending, in-progress or finished), so a resumed run

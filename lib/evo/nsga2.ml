@@ -164,9 +164,8 @@ let run ?on_generation ?(executor = Executor.sequential) ?start ?cache ?prepare 
            worker run [prepare] on its own chunk before evaluating it.
            [prepare] must be a pure throughput hint (fused cache warming):
            chunk boundaries vary with the jobs setting, so results must
-           not depend on which genomes were prepared together.  Seq and
-           process executors report one job, giving a single maximal
-           batch. *)
+           not depend on which genomes were prepared together.  The Seq
+           executor reports one job, giving a single maximal batch. *)
         let total = Array.length indices in
         if total = 0 then [||]
         else begin

@@ -75,7 +75,7 @@ val run :
     [prepare], when given, turns per-genome evaluation into batched
     evaluation: each generation's to-evaluate set (the cache misses, when
     a cache is present) is split into contiguous chunks — roughly two per
-    executor job, so a single chunk on sequential and process executors —
+    executor job, so a single chunk on the sequential executor —
     and each worker calls [prepare] on its chunk's genomes before
     evaluating them one by one.  This is the seam the search uses to warm
     the dataset's column cache through one fused tape per chunk.

@@ -122,11 +122,9 @@ type t = {
   chunk_rows : int;
   data_offset : int;
   mapped : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t option;
-  (* Buffered reads go through a per-(pid, domain) channel: domains must
-     not share an [in_channel] (its buffer is not thread-safe), and the
-     processes backend forks workers, which would otherwise share the
-     parent's file offset through the inherited descriptor. *)
-  channel_key : (int * in_channel) option ref Domain.DLS.key;
+  (* Buffered reads go through a per-domain channel: domains must not
+     share an [in_channel] (its buffer is not thread-safe). *)
+  channel_key : in_channel option ref Domain.DLS.key;
 }
 
 let read_int64 channel =
@@ -138,40 +136,55 @@ let chunk_count t = (t.n + t.chunk_rows - 1) / t.chunk_rows
 let chunk_len t c = min t.chunk_rows (t.n - (c * t.chunk_rows))
 let chunk_offset t c = t.data_offset + (c * t.chunk_rows * t.dims * 8)
 
+(* Parse and validate the header: every field must be consistent with
+   the file's length, and the data region must hold exactly [n * dims]
+   floats, so a truncated or padded store is refused here rather than
+   failing mid-read. *)
+let read_header path channel =
+  let length = in_channel_length channel in
+  match
+    let m = really_input_string channel (String.length magic) in
+    if m <> magic then fail "%s: bad magic (not a CAFSTOR1 file)" path;
+    let n = read_int64 channel in
+    let dims = read_int64 channel in
+    let chunk_rows = read_int64 channel in
+    let data_offset = read_int64 channel in
+    if dims < 1 || chunk_rows < 1 || n < 0 || data_offset < header_fixed then
+      fail "%s: corrupt header" path;
+    if data_offset > length then
+      fail "%s: file is %d bytes, shorter than its %d-byte header" path length data_offset;
+    (* Each variable takes at least 9 header bytes (length + one char). *)
+    if dims > (data_offset - header_fixed) / 9 then fail "%s: corrupt header" path;
+    if n > (length - data_offset) / 8 / dims || data_offset + (n * dims * 8) <> length then
+      fail "%s: %d data bytes, but the header declares %d rows x %d variables" path
+        (length - data_offset) n dims;
+    let var_names =
+      Array.init dims (fun _ ->
+          let len = read_int64 channel in
+          if len < 1 || len > data_offset then fail "%s: corrupt header" path;
+          really_input_string channel len)
+    in
+    (n, dims, chunk_rows, data_offset, var_names)
+  with
+  | header -> header
+  | exception End_of_file -> fail "%s: truncated header (%d bytes)" path length
+
 let openfile ?(mmap = false) path =
   let channel = open_in_bin path in
-  let header =
-    Fun.protect
-      ~finally:(fun () -> if mmap then close_in channel)
-      (fun () ->
-        let m = really_input_string channel (String.length magic) in
-        if m <> magic then fail "%s: bad magic (not a CAFSTOR1 file)" path;
-        let n = read_int64 channel in
-        let dims = read_int64 channel in
-        let chunk_rows = read_int64 channel in
-        let data_offset = read_int64 channel in
-        if dims < 1 || chunk_rows < 1 || n < 0 || data_offset < header_fixed then
-          fail "%s: corrupt header" path;
-        let var_names =
-          Array.init dims (fun _ ->
-              let len = read_int64 channel in
-              if len < 1 || len > data_offset then fail "%s: corrupt header" path;
-              really_input_string channel len)
-        in
-        (n, dims, chunk_rows, data_offset, var_names))
+  let n, dims, chunk_rows, data_offset, var_names =
+    match read_header path channel with
+    | header ->
+        if mmap then close_in channel;
+        header
+    | exception e ->
+        close_in_noerr channel;
+        raise e
   in
-  let n, dims, chunk_rows, data_offset, var_names = header in
   let mapped =
     if not mmap then None
     else begin
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      let total_floats =
-        if n = 0 then 0
-        else begin
-          let chunks = (n + chunk_rows - 1) / chunk_rows in
-          (((chunks - 1) * chunk_rows) + (n - ((chunks - 1) * chunk_rows))) * dims
-        end
-      in
+      let total_floats = n * dims in
       let map =
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
@@ -195,9 +208,9 @@ let openfile ?(mmap = false) path =
     }
   in
   if not mmap then begin
-    (* Seed the opening thread's slot with the channel used for the header. *)
+    (* Seed the opening domain's slot with the channel used for the header. *)
     let slot = Domain.DLS.get t.channel_key in
-    slot := Some (Unix.getpid (), channel)
+    slot := Some channel
   end;
   t
 
@@ -207,15 +220,11 @@ let chunk_rows t = t.chunk_rows
 
 let channel t =
   let slot = Domain.DLS.get t.channel_key in
-  let pid = Unix.getpid () in
   match !slot with
-  | Some (owner, chan) when owner = pid -> chan
-  | stale ->
-      (match stale with
-      | Some (_, chan) -> (try close_in chan with Sys_error _ -> ())
-      | None -> ());
+  | Some chan -> chan
+  | None ->
       let chan = open_in_bin t.path in
-      slot := Some (pid, chan);
+      slot := Some chan;
       chan
 
 (* Absolute float index of (chunk, variable, row-in-chunk) in the mapped
@@ -293,10 +302,9 @@ let column t d =
   out
 
 let close t =
-  (match t.mapped with Some _ -> () | None -> ());
   let slot = Domain.DLS.get t.channel_key in
   match !slot with
-  | Some (owner, chan) when owner = Unix.getpid () ->
+  | Some chan ->
       (try close_in chan with Sys_error _ -> ());
       slot := None
-  | _ -> ()
+  | None -> ()

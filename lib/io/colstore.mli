@@ -33,9 +33,11 @@ val openfile : ?mmap:bool -> string -> t
 (** Open a store for reading.  With [mmap:true] the data region is
     memory-mapped read-only (shared, page-cache backed); the default is
     buffered channel reads, which keep resident memory bounded by one
-    chunk.  Buffered readers keep one channel per (process, domain) so
-    domains and forked workers never share a file offset.  Raises
-    [Invalid_argument] on a malformed file. *)
+    chunk.  Buffered readers keep one channel per domain so domains
+    never share a file offset.  Raises [Invalid_argument]
+    ["Colstore: PATH: reason"] on a malformed file: bad magic, a header
+    cut short, or a data region whose length is not exactly
+    [n_rows * dims * 8] bytes. *)
 
 val var_names : t -> string array
 val n_rows : t -> int
@@ -57,5 +59,5 @@ val column : t -> int -> float array
 (** Materialize one variable as a fresh [n_rows] array. *)
 
 val close : t -> unit
-(** Close this (process, domain)'s buffered channel, if any.  Mapped
+(** Close this domain's buffered channel, if any.  Mapped
     regions are unmapped by the GC. *)

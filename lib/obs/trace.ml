@@ -90,13 +90,6 @@ type warning = {
   message : string;
 }
 
-type migration = {
-  island : int;
-  shard : int;
-  models : int;
-  bytes : int;
-}
-
 type record =
   | Run_start of run_start
   | Generation of generation
@@ -110,7 +103,6 @@ type record =
   | Checkpoint_written of checkpoint_written
   | Run_resumed of run_resumed
   | Warning of warning
-  | Migration of migration
 
 (* --- encoding ----------------------------------------------------------- *)
 
@@ -253,15 +245,7 @@ let to_line record =
         ]
   | Warning w ->
       add_fields buffer "warning"
-        [ ("context", string_field w.context); ("message", string_field w.message) ]
-  | Migration m ->
-      add_fields buffer "migration"
-        [
-          ("island", int_field m.island);
-          ("shard", int_field m.shard);
-          ("models", int_field m.models);
-          ("bytes", int_field m.bytes);
-        ]);
+        [ ("context", string_field w.context); ("message", string_field w.message) ]);
   Buffer.contents buffer
 
 (* --- decoding ----------------------------------------------------------- *)
@@ -381,14 +365,6 @@ let of_line line =
         | Json.Str "warning" ->
             Warning
               { context = Json.str_of fields "context"; message = Json.str_of fields "message" }
-        | Json.Str "migration" ->
-            Migration
-              {
-                island = Json.int_of fields "island";
-                shard = Json.int_of fields "shard";
-                models = Json.int_of fields "models";
-                bytes = Json.int_of fields "bytes";
-              }
         | Json.Str other -> raise (Json.Parse_error (Printf.sprintf "unknown record type %S" other))
         | _ -> raise (Json.Parse_error "missing record type")
       with
@@ -414,10 +390,6 @@ let deterministic = function
   | Checkpoint_written _ as record -> Some record
   | Run_resumed _ as record -> Some record
   | Warning _ as record -> Some record
-  (* Which worker process served an island depends on the --shard setting,
-     so the shard field is zeroed; the migrated front (and hence its model
-     count and wire size) is shard-invariant. *)
-  | Migration m -> Some (Migration { m with shard = 0 })
 
 (* --- sinks -------------------------------------------------------------- *)
 

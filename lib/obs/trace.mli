@@ -90,9 +90,10 @@ type eval_cache_stats = {
   eval_evictions : int;  (** cached entries dropped by shard overflow *)
 }
 (** Final [eval.cache_*] counter values of the evaluation cache
-    ({!Caffeine.Eval_cache}).  Reporting data only: under the process
-    backend worker-side counters never reach the coordinator, so the whole
-    record is dropped by {!deterministic} like {!cache_stats}. *)
+    ({!Caffeine.Eval_cache}).  Reporting data only: the counters are
+    process-wide, so anything else evaluated in the same process shifts
+    them, and the whole record is dropped by {!deterministic} like
+    {!cache_stats}. *)
 
 type fused_stats = {
   gen : int;
@@ -133,18 +134,6 @@ type warning = {
   message : string;
 }
 
-type migration = {
-  island : int;  (** island whose elite front arrived at the coordinator *)
-  shard : int;
-      (** worker process that served the island — nondeterministic across
-          [--shard] settings, zeroed by {!deterministic} *)
-  models : int;  (** models in the migrated front *)
-  bytes : int;  (** wire size of the serialized front (one snapshot line) *)
-}
-(** Emitted by the multi-process island backend ({!Caffeine.Shard}) when a
-    worker hands its finished front back to the coordinator.  Sequential
-    and domain-pool runs exchange nothing and emit none. *)
-
 type record =
   | Run_start of run_start
   | Generation of generation
@@ -158,7 +147,6 @@ type record =
   | Checkpoint_written of checkpoint_written
   | Run_resumed of run_resumed
   | Warning of warning
-  | Migration of migration
 
 (** {2 JSONL codec} *)
 
@@ -170,11 +158,11 @@ val of_line : string -> (record, string) result
 val deterministic : record -> record option
 (** The jobs-invariant projection: [None] for {!Cache_stats},
     {!Eval_cache_stats} and {!Fused_stats}; other records with their nondeterministic fields
-    ([wall_s], [total_wall_s], {!migration}'s [shard]) zeroed.
+    ([wall_s], [total_wall_s]) zeroed.
     {!Op_stats} records are kept verbatim (variation is sequential on the
     coordinating domain).  Checkpoint, resume and warning records are kept
     verbatim: checkpointed runs serialize their islands, so the records
-    arrive in the same order at every jobs and shard setting. *)
+    arrive in the same order at every jobs setting. *)
 
 (** {2 Sinks} *)
 

@@ -1,55 +1,38 @@
 type backend =
   | Seq
   | Domains
-  | Processes
 
-let backend_name = function Seq -> "seq" | Domains -> "domains" | Processes -> "processes"
+let backend_name = function Seq -> "seq" | Domains -> "domains"
 
 let backend_of_string = function
   | "seq" -> Ok Seq
   | "domains" -> Ok Domains
-  | "processes" -> Ok Processes
-  | other -> Error (Printf.sprintf "unknown backend %S (expected seq, domains or processes)" other)
+  | other -> Error (Printf.sprintf "unknown backend %S (expected seq or domains)" other)
 
 type t = {
-  backend : backend;
-  shards : int;
   pool : Pool.t option;
   owned : bool;  (* [shutdown] releases the pool only if we spawned it *)
 }
 
-let sequential = { backend = Seq; shards = 1; pool = None; owned = false }
+let sequential = { pool = None; owned = false }
 
-let create ?jobs ?shards backend =
+let create ?jobs backend =
   match backend with
   | Seq -> sequential
   | Domains ->
       let jobs = Pool.effective_jobs (match jobs with Some j -> j | None -> 0) in
       let pool = if jobs > 1 then Some (Pool.create ~jobs ()) else None in
-      { backend = Domains; shards = 1; pool; owned = Option.is_some pool }
-  | Processes ->
-      (* Worker processes do not join the coordinator's GC, so the only
-         cost of oversubscription is OS scheduling — still, one worker per
-         core is the sensible default.  The island count caps the fan-out
-         at run time (Shard), not here. *)
-      let shards =
-        match shards with
-        | Some s when s >= 1 -> s
-        | Some _ | None -> Domain.recommended_domain_count ()
-      in
-      { backend = Processes; shards; pool = None; owned = false }
+      { pool; owned = Option.is_some pool }
 
-let of_pool pool = { backend = Domains; shards = 1; pool = Some pool; owned = false }
+let of_pool pool = { pool = Some pool; owned = false }
 
 let shutdown t = if t.owned then Option.iter Pool.shutdown t.pool
 
-let with_executor ?jobs ?shards backend f =
-  let t = create ?jobs ?shards backend in
+let with_executor ?jobs backend f =
+  let t = create ?jobs backend in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let backend t = t.backend
 let jobs t = match t.pool with Some pool -> Pool.jobs pool | None -> 1
-let shards t = t.shards
 let pool t = t.pool
 
 let map t f input =

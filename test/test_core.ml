@@ -978,8 +978,8 @@ let eval_cache_front_invariance =
       let targets = Array.map (fun x -> (x.(0) *. x.(0)) +. (0.7 /. x.(1))) inputs in
       let data = data_of inputs in
       let config = Config.scaled ~pop_size:12 ~generations:6 Config.default in
-      let run backend ?jobs ?shards mode =
-        Executor.with_executor ?jobs ?shards backend @@ fun executor ->
+      let run backend ?jobs mode =
+        Executor.with_executor ?jobs backend @@ fun executor ->
         front_pairs (Search.run ~seed ~executor ~eval_cache:mode config ~data ~targets)
       in
       let reference = run Executor.Seq Eval_cache.Off in
@@ -989,8 +989,6 @@ let eval_cache_front_invariance =
           run Executor.Seq Eval_cache.Exact;
           run Executor.Seq Eval_cache.Behavioral;
           run Executor.Domains ~jobs:4 Eval_cache.Exact;
-          run Executor.Processes ~shards:3 Eval_cache.Exact;
-          run Executor.Processes ~shards:3 Eval_cache.Behavioral;
         ])
 
 let eval_cache_suite =

@@ -424,6 +424,44 @@ let test_colstore_validation () =
   expect_invalid (fun () -> Colstore.openfile path);
   Sys.remove path
 
+(* A store cut short anywhere — inside the magic, the fixed header, the
+   padding or the data region — or carrying trailing bytes is refused at
+   open with the "Colstore: PATH: ..." error, on both read paths. *)
+let test_colstore_truncated_rejected () =
+  let rows = 25 and dims = 3 and chunk_rows = 10 in
+  let path, _ = write_store ~chunk_rows ~rows ~dims in
+  let bytes =
+    let ic = open_in_bin path in
+    let b = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    b
+  in
+  Sys.remove path;
+  let full = String.length bytes in
+  let damaged = Filename.temp_file "caffeine_colstore" ".cafs" in
+  let prefix = Printf.sprintf "Colstore: %s: " damaged in
+  let expect_refused label contents =
+    let oc = open_out_bin damaged in
+    output_string oc contents;
+    close_out oc;
+    List.iter
+      (fun mmap ->
+        match Colstore.openfile ~mmap damaged with
+        | store ->
+            Colstore.close store;
+            Alcotest.failf "%s (mmap %b) opened" label mmap
+        | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s (mmap %b) names the file: %s" label mmap msg)
+              true (String.starts_with ~prefix msg))
+      [ false; true ]
+  in
+  List.iter
+    (fun len -> expect_refused (Printf.sprintf "cut to %d bytes" len) (String.sub bytes 0 len))
+    [ 0; 3; 20; 45; 3000; full - (rows * dims * 8) + 8; full - 8; full - 1 ];
+  expect_refused "trailing bytes" (bytes ^ "\000\000\000\000\000\000\000\000");
+  Sys.remove damaged
+
 let suite =
   [
     Alcotest.test_case "write/read round-trip" `Quick test_write_read_roundtrip;
@@ -452,4 +490,6 @@ let suite =
       test_dataset_ragged_names_offender;
     Alcotest.test_case "colstore round-trip (buffered and mmap)" `Quick test_colstore_roundtrip;
     Alcotest.test_case "colstore validation" `Quick test_colstore_validation;
+    Alcotest.test_case "colstore truncated store rejected" `Quick
+      test_colstore_truncated_rejected;
   ]

@@ -19,7 +19,6 @@ let () =
       ("core", Test_core.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("par", Test_par.suite);
-      ("shard", Test_shard.suite);
       ("obs", Test_obs.suite);
       ("export", Test_export.suite);
       ("serve", Test_serve.suite);

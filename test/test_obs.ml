@@ -175,7 +175,7 @@ let record_gen : Trace.record QCheck.Gen.t =
       ]
       st
   in
-  match QCheck.Gen.int_bound 11 st with
+  match QCheck.Gen.int_bound 10 st with
   | 0 ->
       Trace.Run_start
         {
@@ -246,8 +246,6 @@ let record_gen : Trace.record QCheck.Gen.t =
           gen = nat st - 1;
         }
   | 8 ->
-      Trace.Migration { Trace.island = nat st; shard = nat st; models = nat st; bytes = nat st }
-  | 9 ->
       let ops = QCheck.Gen.int_bound 12 st in
       Trace.Op_stats
         {
@@ -255,7 +253,7 @@ let record_gen : Trace.record QCheck.Gen.t =
           applied = Array.init ops (fun _ -> nat st);
           changed = Array.init ops (fun _ -> nat st);
         }
-  | 10 ->
+  | 9 ->
       Trace.Eval_cache_stats
         { Trace.eval_hits = nat st; eval_misses = nat st; eval_evictions = nat st }
   | _ -> Trace.Warning { Trace.context = text st; message = text st }
@@ -342,30 +340,13 @@ let test_deterministic_keeps_checkpoint_records () =
       | None -> Alcotest.fail "checkpoint/resume/warning records must survive the projection")
     records
 
-let test_migration_codec_and_projection () =
-  let m = Trace.Migration { Trace.island = 3; shard = 2; models = 7; bytes = 4096 } in
-  (match Trace.of_line (Trace.to_line m) with
-  | Ok m' -> Alcotest.(check bool) "migration round-trips" true (record_equal m m')
-  | Error e -> Alcotest.fail e);
-  (* Which worker served an island depends on --shard, so the projection
-     zeroes the shard field; the rest — which island, how many models, the
-     wire size of the front — is shard-invariant and must survive for the
-     cross-shard CI diff. *)
-  match Trace.deterministic m with
-  | Some (Trace.Migration p) ->
-      Alcotest.(check int) "shard zeroed" 0 p.Trace.shard;
-      Alcotest.(check int) "island kept" 3 p.Trace.island;
-      Alcotest.(check int) "models kept" 7 p.Trace.models;
-      Alcotest.(check int) "bytes kept" 4096 p.Trace.bytes
-  | _ -> Alcotest.fail "migration should project to a migration"
-
 let test_fn_sink () =
   let seen = ref [] in
   let sink = Trace.of_fn (fun r -> seen := r :: !seen) in
   Alcotest.(check bool) "fn sink is live" false (Trace.is_null sink);
   let records =
     [
-      Trace.Migration { Trace.island = 0; shard = 1; models = 2; bytes = 64 };
+      Trace.Run_resumed { Trace.phase = "evolving"; island = 0; gen = 1 };
       Trace.Warning { Trace.context = "t"; message = "m" };
     ]
   in
@@ -515,8 +496,6 @@ let suite =
       test_deterministic_keeps_checkpoint_records;
     Alcotest.test_case "trace: sinks" `Quick test_sinks;
     Alcotest.test_case "trace: fn sink" `Quick test_fn_sink;
-    Alcotest.test_case "trace: migration codec and projection" `Quick
-      test_migration_codec_and_projection;
     Alcotest.test_case "trace: channel sink" `Quick test_channel_sink;
     Alcotest.test_case "trace: jobs-invariant projection" `Quick test_trace_jobs_invariant;
     Alcotest.test_case "pool: abandoned tasks counted" `Quick test_pool_abandoned_counter;

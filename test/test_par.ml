@@ -14,6 +14,8 @@ module Config = Caffeine.Config
 module Model = Caffeine.Model
 module Search = Caffeine.Search
 module Sag = Caffeine.Sag
+module Checkpoint = Caffeine.Checkpoint
+module Trace = Caffeine_obs.Trace
 
 (* --- pool mechanics --- *)
 
@@ -163,7 +165,7 @@ let test_backend_names () =
             (Executor.backend_name backend ^ " round-trips")
             true (backend = roundtripped)
       | Error msg -> Alcotest.fail msg)
-    [ Executor.Seq; Executor.Domains; Executor.Processes ];
+    [ Executor.Seq; Executor.Domains ];
   match Executor.backend_of_string "threads" with
   | Ok _ -> Alcotest.fail "unknown backend accepted"
   | Error msg -> Alcotest.(check bool) "error lists spellings" true (msg <> "")
@@ -175,12 +177,9 @@ let test_executor_map_all_backends () =
   Alcotest.(check (array int)) "seq init" input (Executor.init Executor.sequential 200 Fun.id);
   Executor.with_executor ~jobs:4 Executor.Domains (fun executor ->
       Alcotest.(check (array int)) "domains map" expected (Executor.map executor succ input));
-  (* A Processes executor maps sequentially on the calling side: its
-     parallelism lives at the island level, not in [map]. *)
-  Executor.with_executor ~shards:4 Executor.Processes (fun executor ->
-      Alcotest.(check bool) "processes carries shard count" true (Executor.shards executor >= 1);
-      Alcotest.(check bool) "processes owns no pool" true (Executor.pool executor = None);
-      Alcotest.(check (array int)) "processes map" expected (Executor.map executor succ input))
+  (* A Seq executor owns no pool and reports one job. *)
+  Alcotest.(check bool) "seq owns no pool" true (Executor.pool Executor.sequential = None);
+  Alcotest.(check int) "seq runs one job" 1 (Executor.jobs Executor.sequential)
 
 let test_executor_nested_falls_back () =
   Executor.with_executor ~jobs:4 Executor.Domains @@ fun executor ->
@@ -192,8 +191,8 @@ let test_executor_nested_falls_back () =
 let test_executor_of_pool_borrows () =
   Pool.with_pool ~jobs:2 @@ fun pool ->
   let executor = Executor.of_pool pool in
-  Alcotest.(check bool) "borrowed executor is Domains" true
-    (Executor.backend executor = Executor.Domains);
+  Alcotest.(check int) "borrowed executor runs the pool's jobs" (Pool.jobs pool)
+    (Executor.jobs executor);
   Alcotest.(check (array int)) "borrowed map" [| 1; 2; 3 |]
     (Executor.map executor succ [| 0; 1; 2 |]);
   Executor.shutdown executor;
@@ -372,6 +371,100 @@ let test_config_jobs_path () =
   Alcotest.(check bool) "jobs=3 == jobs=1" true
     (front_signature names (front 1) = front_signature names (front 3))
 
+(* --- islands: observed run_multi is the sequential run at any jobs --- *)
+
+(* A traced run_multi pins its islands to the calling domain, so the
+   projected record sequence — island 0's generations, then island 1's,
+   then island 2's — is the same at every jobs setting. *)
+let test_run_multi_trace_across_jobs () =
+  let inputs, targets = toy_problem 6 in
+  let config = Config.scaled ~pop_size:12 ~generations:5 ~jobs:1 Config.default in
+  let capture executor =
+    let data = Dataset.of_rows inputs in
+    let sink = Trace.memory () in
+    ignore (Search.run_multi ~seed:13 ~executor ~trace:sink ~restarts:3 config ~data ~targets);
+    List.filter_map Trace.deterministic (Trace.contents sink)
+  in
+  let sequential = capture Executor.sequential in
+  let parallel = Executor.with_executor ~jobs:2 Executor.Domains capture in
+  Alcotest.(check (list string))
+    "projected traces identical at jobs 1 and 2"
+    (List.map Trace.to_line sequential)
+    (List.map Trace.to_line parallel);
+  let generations =
+    List.filter_map (function Trace.Generation g -> Some g.Trace.gen | _ -> None) sequential
+  in
+  Alcotest.(check (list int)) "islands' generations back to back"
+    (List.concat (List.init 3 (fun _ -> List.init 6 Fun.id)))
+    generations
+
+let test_run_multi_on_generation_order () =
+  let inputs, targets = toy_problem 9 in
+  let config = Config.scaled ~pop_size:12 ~generations:4 ~jobs:1 Config.default in
+  let capture executor =
+    let data = Dataset.of_rows inputs in
+    let seen = ref [] in
+    ignore
+      (Search.run_multi ~seed:17 ~executor
+         ~on_generation:(fun ~island record -> seen := (island, record.Trace.gen) :: !seen)
+         ~restarts:3 config ~data ~targets);
+    List.rev !seen
+  in
+  let expected = List.concat (List.init 3 (fun island -> List.init 5 (fun gen -> (island, gen)))) in
+  let order = Alcotest.(list (pair int int)) in
+  Alcotest.check order "sequential callbacks in island order" expected
+    (capture Executor.sequential);
+  Alcotest.check order "jobs 2 callbacks in island order" expected
+    (Executor.with_executor ~jobs:2 Executor.Domains capture)
+
+exception Killed
+
+let test_run_multi_kill_resume_across_jobs () =
+  (* Kill a jobs-2 run inside island 1, resume sequentially: the resumed
+     front is the uninterrupted one, the finished island 0 is not re-run,
+     and the final snapshot holds every island finished. *)
+  let inputs, targets = toy_problem 7 in
+  let config = Config.scaled ~pop_size:10 ~generations:6 ~jobs:1 Config.default in
+  let full =
+    let data = Dataset.of_rows inputs in
+    Search.run_multi ~seed:9 ~restarts:3 config ~data ~targets
+  in
+  let path = Filename.temp_file "caffeine_par" ".ckpt" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
+  (match
+     let data = Dataset.of_rows inputs in
+     Executor.with_executor ~jobs:2 Executor.Domains (fun executor ->
+         Search.run_multi ~seed:9 ~executor ~restarts:3
+           ~on_generation:(fun ~island record ->
+             if island = 1 && record.Trace.gen >= 4 then raise Killed)
+           ~checkpoint_path:path ~checkpoint_every:2 config ~data ~targets)
+   with
+  | _ -> Alcotest.fail "expected the kill to escape Search.run_multi"
+  | exception Killed -> ());
+  let snapshot =
+    match Checkpoint.load ~path with
+    | Ok snapshot -> snapshot
+    | Error message -> Alcotest.failf "load failed: %s" message
+  in
+  let data = Dataset.of_rows inputs in
+  let islands_seen = ref [] in
+  let resumed =
+    Search.run_multi ~seed:9 ~executor:Executor.sequential ~restarts:3 ~resume:snapshot
+      ~on_generation:(fun ~island _ ->
+        if not (List.mem island !islands_seen) then islands_seen := island :: !islands_seen)
+      ~checkpoint_path:path config ~data ~targets
+  in
+  let names = Dataset.var_names data in
+  Alcotest.(check bool) "resumed front identical to uninterrupted" true
+    (front_signature names full.Search.front = front_signature names resumed.Search.front);
+  Alcotest.(check (list int)) "finished island 0 not re-run" [ 1; 2 ] (List.rev !islands_seen);
+  match Checkpoint.load ~path with
+  | Ok { Checkpoint.phase = Checkpoint.Evolving islands; _ } ->
+      Alcotest.(check bool) "final snapshot holds every island finished" true
+        (Array.for_all (function Checkpoint.Done _ -> true | _ -> false) islands)
+  | Ok _ -> Alcotest.fail "expected an evolving snapshot"
+  | Error message -> Alcotest.failf "reload failed: %s" message
+
 let suite =
   [
     Alcotest.test_case "pool: map matches sequential" `Quick test_map_matches_sequential;
@@ -397,4 +490,10 @@ let suite =
     Alcotest.test_case "determinism: sag" `Quick test_sag_deterministic;
     Alcotest.test_case "determinism: forward_select" `Quick test_forward_select_deterministic;
     Alcotest.test_case "determinism: config jobs path" `Quick test_config_jobs_path;
+    Alcotest.test_case "islands: run_multi trace across jobs" `Quick
+      test_run_multi_trace_across_jobs;
+    Alcotest.test_case "islands: on_generation island order" `Quick
+      test_run_multi_on_generation_order;
+    Alcotest.test_case "islands: kill/resume across jobs" `Quick
+      test_run_multi_kill_resume_across_jobs;
   ]
