@@ -5,7 +5,7 @@
 
      dune exec bench/main.exe -- [--experiment all|fig3|table1|table2|fig4|
                                    ablation-grammar|ablation-sag|ablation-moo|
-                                   eval|parallel|regress|trace|dedup|fuse|serve|
+                                   parallel|regress|trace|dedup|serve|
                                    stream|micro]
                                   [--pop N] [--gens N] [--seed N] [--smoke]
                                   [--stream-only]
@@ -23,7 +23,7 @@ module Search = Caffeine.Search
 module Sag = Caffeine.Sag
 module Opset = Caffeine.Opset
 module Dataset = Caffeine_io.Dataset
-module Compiled = Caffeine_expr.Compiled
+module Fused = Caffeine_expr.Fused
 module Linfit = Caffeine_regress.Linfit
 module Pool = Caffeine_par.Pool
 module Executor = Caffeine_par.Executor
@@ -31,9 +31,8 @@ module Colstore = Caffeine_io.Colstore
 module Circuit = Caffeine_spice.Circuit
 module Tran = Caffeine_spice.Tran
 
-(* The reference tree interpreter — only the compiled_vs_interpreted group
-   and the micro-benchmarks may touch it; everything else evaluates through
-   Compiled/Dataset. *)
+(* The reference tree interpreter — only the micro-benchmarks evaluate
+   with it; everything else evaluates through Fused/Dataset. *)
 module Interp = Caffeine_expr.Expr
 
 type options = {
@@ -534,7 +533,7 @@ let experiment_miller options =
             (Model.to_string ~var_names:Miller.var_names s.Sag.model))
     Miller.all_performances
 
-(* --- compiled vs interpreted evaluation ---------------------------------- *)
+(* --- timing ---------------------------------------------------------------- *)
 
 let time_per_run f =
   (* Calibrate repetitions so each measurement spans at least ~50 ms of CPU
@@ -548,68 +547,6 @@ let time_per_run f =
     if dt >= 0.05 then dt /. float_of_int reps else calibrate (reps * 4)
   in
   calibrate 1
-
-let experiment_eval options =
-  section "compiled_vs_interpreted: tape evaluation vs tree interpretation";
-  let rng = Caffeine_util.Rng.create ~seed:options.seed () in
-  let dims = 13 and n = 243 in
-  let rows =
-    Array.init n (fun i ->
-        Array.init dims (fun j -> 0.5 +. Float.abs (sin (float_of_int ((i * dims) + j)))))
-  in
-  let data = Dataset.of_rows rows in
-  let config = Config.paper in
-  (* Draw until the single basis has real structure (a bare monomial lowers
-     to one instruction and would flatter the compiled path). *)
-  let rec draw () =
-    let b = Caffeine.Gen.random_basis rng config.Config.opset ~dims ~depth:6 ~max_vc_vars:3 in
-    if Compiled.length (Compiled.compile b) >= 8 then b else draw ()
-  in
-  let basis = draw () in
-  let front_individuals = if options.smoke then 4 else 12 in
-  let front =
-    Array.concat
-      (List.init front_individuals (fun _ -> Caffeine.Gen.random_individual rng config ~dims))
-  in
-  Printf.printf
-    "workload: %d samples x %d dims; single basis (%d tape instructions), front of %d bases\n" n
-    dims
-    (Compiled.length (Compiled.compile basis))
-    (Array.length front);
-  let interp_single () = Array.iter (fun row -> ignore (Interp.eval_basis basis row)) rows in
-  let compiled_single =
-    let c = Compiled.compile basis in
-    fun () -> ignore (Dataset.eval_column c data)
-  in
-  let interp_front () =
-    Array.iter (fun b -> Array.iter (fun row -> ignore (Interp.eval_basis b row)) rows) front
-  in
-  let compiled_front =
-    let cs = Array.map Compiled.compile front in
-    fun () -> Array.iter (fun c -> ignore (Dataset.eval_column c data)) cs
-  in
-  let t_is = time_per_run interp_single in
-  let t_cs = time_per_run compiled_single in
-  let t_if = time_per_run interp_front in
-  let t_cf = time_per_run compiled_front in
-  let us t = 1e6 *. t in
-  Printf.printf "%-28s  %12s  %12s  %8s\n" "case" "interp" "compiled" "speedup";
-  Printf.printf "%-28s  %9.2f us  %9.2f us  %7.2fx\n" "single basis x 243 samples" (us t_is)
-    (us t_cs) (t_is /. t_cs);
-  Printf.printf "%-28s  %9.2f us  %9.2f us  %7.2fx\n" "whole front x 243 samples" (us t_if)
-    (us t_cf) (t_if /. t_cf);
-  write_artifact ~options ~name:"eval"
-    [
-      ("samples", string_of_int n);
-      ("dims", string_of_int dims);
-      ("front_bases", string_of_int (Array.length front));
-      ( "single_basis",
-        Printf.sprintf "{ \"interpreted_us\": %.3f, \"compiled_us\": %.3f, \"speedup\": %.2f }"
-          (us t_is) (us t_cs) (t_is /. t_cs) );
-      ( "whole_front",
-        Printf.sprintf "{ \"interpreted_us\": %.3f, \"compiled_us\": %.3f, \"speedup\": %.2f }"
-          (us t_if) (us t_cf) (t_if /. t_cf) );
-    ]
 
 (* --- parallel scaling ----------------------------------------------------- *)
 
@@ -1290,235 +1227,6 @@ let experiment_dedup options =
     exit 1
   end
 
-(* --- fused multi-expression evaluation ------------------------------------ *)
-
-let experiment_fuse options =
-  let module Trace = Caffeine_obs.Trace in
-  let module Eval_cache = Caffeine.Eval_cache in
-  let module Fused = Caffeine_expr.Fused in
-  section "fuse: cross-tree CSE and tiled batch kernels";
-  let train = Ota.doe_dataset ~dx:0.10 in
-  let n = Array.length train.Ota.inputs in
-  let dims = Array.length Ota.var_names in
-  let targets = Array.map (Ota.modeling_target Ota.Pm) (Ota.targets train Ota.Pm) in
-  (* Fresh dataset per measurement: warm basis columns must not leak from
-     one fuse setting into the next. *)
-  let fresh_data () = Dataset.of_rows ~var_names:Ota.var_names train.Ota.inputs in
-  let config =
-    Config.scaled
-      ~pop_size:(if options.smoke then 24 else Stdlib.max 24 (options.pop_size / 2))
-      ~generations:(if options.smoke then 12 else Stdlib.max 12 (options.generations / 5))
-      Config.paper
-  in
-  let seed = options.seed in
-  let reps = if options.smoke then 3 else 5 in
-  Printf.printf "workload: OTA PM, %d samples x %d dims, pop %d, gens %d, min of %d runs%s\n" n
-    dims config.Config.pop_size config.Config.generations reps
-    (if options.smoke then " (smoke)" else "");
-  (* --- the front workload: every basis instance of evolved fronts ---------- *)
-  (* Evaluating a whole Pareto front per model — what export, insight and
-     serving do — recomputes every basis the models share, and front
-     neighbors share almost all of them (they differ by a basis or two).
-     The workload is the concatenation of the front models' bases with
-     that duplication kept: fused evaluation hash-conses the repeats (and
-     any subtrees distinct bases still share) into single DAG nodes,
-     while the per-expression baseline evaluates each instance on its own
-     tape.  The workload search runs its own budget (independent of
-     --smoke); fronts accumulate across seeds until 40 distinct bases are
-     represented. *)
-  let workload_target = 40 in
-  let workload_config = Config.scaled ~pop_size:60 ~generations:60 Config.paper in
-  let front_instances, distinct_bases =
-    let seen = Compiled.Tbl.create 64 in
-    let acc = ref [] in
-    let distinct = ref 0 in
-    let next_seed = ref seed in
-    while !distinct < workload_target && !next_seed < seed + 6 do
-      let data = fresh_data () in
-      let outcome = Search.run ~seed:!next_seed workload_config ~data ~targets in
-      List.iter
-        (fun (m : Model.t) ->
-          if !distinct < workload_target then
-            Array.iter
-              (fun b ->
-                acc := b :: !acc;
-                if not (Compiled.Tbl.mem seen b) then begin
-                  Compiled.Tbl.add seen b ();
-                  incr distinct
-                end)
-              m.Model.bases)
-        outcome.Search.front;
-      incr next_seed
-    done;
-    (Array.of_list (List.rev !acc), !distinct)
-  in
-  let columns = Array.init dims (fun v -> Array.init n (fun i -> train.Ota.inputs.(i).(v))) in
-  let fused = Fused.compile front_instances in
-  let nodes_in = Fused.nodes_in fused and nodes_out = Fused.nodes_out fused in
-  let cse_ratio = float_of_int nodes_in /. float_of_int (Stdlib.max 1 nodes_out) in
-  Printf.printf
-    "front workload: %d basis instances (%d distinct), %d DAG nodes before sharing, %d after \
-     (CSE %.2fx), %d slots, tile %d\n"
-    (Array.length front_instances) distinct_bases nodes_in nodes_out cse_ratio
-    (Fused.slots fused) (Fused.tile fused);
-  (* --- exactness: fused rows must equal per-expression rows bit for bit ---- *)
-  let compiled = Array.map Compiled.compile front_instances in
-  let cscratch = Compiled.scratch () in
-  let fscratch = Fused.scratch () in
-  let fused_rows = Fused.eval_columns fused ~scratch:fscratch ~columns ~n in
-  let bits = Int64.bits_of_float in
-  let rows_equal a b =
-    Array.length a = Array.length b
-    && Array.for_all2 (fun x y -> bits x = bits y) a b
-  in
-  let rows_identical =
-    Array.for_all2
-      (fun c row -> rows_equal row (Compiled.eval_columns c ~scratch:cscratch ~columns ~n))
-      compiled fused_rows
-  in
-  let probe_indices = [| 0; 3; 3; n - 1 |] in
-  let probe_rows = Fused.eval_probe fused ~columns ~indices:probe_indices in
-  let probe_identical =
-    Array.for_all2
-      (fun c row -> rows_equal row (Compiled.eval_probe c ~columns ~indices:probe_indices))
-      compiled probe_rows
-  in
-  Printf.printf "fused rows bit-identical to per-expression rows: %b (probe: %b)\n"
-    rows_identical probe_identical;
-  (* --- throughput: the fused tape must clear the speedup floor ------------- *)
-  let per_expr_run () =
-    Array.iter (fun c -> ignore (Compiled.eval_columns c ~scratch:cscratch ~columns ~n)) compiled
-  in
-  let fused_run () = ignore (Fused.eval_columns fused ~scratch:fscratch ~columns ~n) in
-  let t_per_expr = time_per_run per_expr_run in
-  let t_fused = time_per_run fused_run in
-  let speedup = t_per_expr /. t_fused in
-  let speedup_floor = 1.3 in
-  let us t = 1e6 *. t in
-  Printf.printf "%-34s %10.1f us\n" "per-expression tapes" (us t_per_expr);
-  Printf.printf "%-34s %10.1f us  (%.2fx, floor %.1fx)\n" "fused tape" (us t_fused) speedup
-    speedup_floor;
-  let speedup_ok = speedup >= speedup_floor in
-  (* --- search exactness: the front must not move when fusion turns off ----- *)
-  let signature (outcome : Search.outcome) =
-    String.concat ";"
-      (List.map
-         (fun (m : Model.t) ->
-           Printf.sprintf "%h|%h|%h|%s" m.Model.train_error m.Model.complexity m.Model.intercept
-             (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") m.Model.weights))))
-         outcome.Search.front)
-  in
-  let front_of backend ?jobs ~fuse mode =
-    let data = fresh_data () in
-    Executor.with_executor ?jobs backend @@ fun executor ->
-    signature (Search.run ~seed ~executor ~eval_cache:mode ~fuse config ~data ~targets)
-  in
-  let reference = front_of Executor.Seq ~fuse:true Eval_cache.Off in
-  let front_cases =
-    [
-      ("seq_unfused_off", front_of Executor.Seq ~fuse:false Eval_cache.Off);
-      ("seq_unfused_exact", front_of Executor.Seq ~fuse:false Eval_cache.Exact);
-      ("seq_unfused_behavioral", front_of Executor.Seq ~fuse:false Eval_cache.Behavioral);
-      ("seq_fused_behavioral", front_of Executor.Seq ~fuse:true Eval_cache.Behavioral);
-      ("domains_4_fused_off", front_of Executor.Domains ~jobs:4 ~fuse:true Eval_cache.Off);
-      ("domains_4_unfused_off", front_of Executor.Domains ~jobs:4 ~fuse:false Eval_cache.Off);
-    ]
-  in
-  let exactness = List.map (fun (name, s) -> (name, s = reference)) front_cases in
-  List.iter
-    (fun (name, ok) -> Printf.printf "front identical to fused seq baseline at %-26s %b\n" name ok)
-    exactness;
-  let fronts_identical = List.for_all snd exactness in
-  (* --- determinism: projected traces must not move either ------------------ *)
-  (* The per-generation fused_stats records depend on chunk boundaries and
-     cache state, so the deterministic projection must drop them: fuse
-     on/off and jobs 1/4 all project to the same lines. *)
-  let capture ?(jobs = 1) ~fuse () =
-    let data = fresh_data () in
-    Executor.with_executor ~jobs Executor.Domains @@ fun executor ->
-    let sink = Trace.memory () in
-    ignore (Search.run ~seed ~executor ~trace:sink ~fuse config ~data ~targets);
-    List.filter_map Trace.deterministic (Trace.contents sink) |> List.map Trace.to_line
-  in
-  let lines_fused = capture ~fuse:true () in
-  let lines_unfused = capture ~fuse:false () in
-  let lines_fused_par = capture ~jobs:4 ~fuse:true () in
-  let traces_identical = lines_fused = lines_unfused && lines_fused = lines_fused_par in
-  Printf.printf "deterministic projections identical with fusion on/off and jobs 1/4: %b\n"
-    traces_identical;
-  (* --- whole-search throughput: fusion must not slow the search ------------ *)
-  let best_of ~fuse =
-    let best = ref Float.infinity in
-    for _ = 1 to reps do
-      let data = fresh_data () in
-      let t0 = Unix.gettimeofday () in
-      ignore (Search.run ~seed ~fuse config ~data ~targets);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let t_unfused_search = best_of ~fuse:false in
-  let t_fused_search = best_of ~fuse:true in
-  let search_not_slower = t_fused_search <= t_unfused_search +. 0.05 in
-  Printf.printf "%-34s %8.3f s\n" "search, fusion off" t_unfused_search;
-  Printf.printf "%-34s %8.3f s (%.2fx)\n" "search, fusion on" t_fused_search
-    (t_unfused_search /. t_fused_search);
-  (* --- record and gate ------------------------------------------------------ *)
-  let fronts_json =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (name, ok) -> Printf.sprintf "\"%s\": %b" name ok) exactness)
-    ^ " }"
-  in
-  write_artifact ~options ~name:"fuse"
-    [
-      ("samples", string_of_int n);
-      ("dims", string_of_int dims);
-      ("pop", string_of_int config.Config.pop_size);
-      ("gens", string_of_int config.Config.generations);
-      ("reps", string_of_int reps);
-      ("front_instances", string_of_int (Array.length front_instances));
-      ("distinct_bases", string_of_int distinct_bases);
-      ("nodes_in", string_of_int nodes_in);
-      ("nodes_out", string_of_int nodes_out);
-      ("cse_ratio", Printf.sprintf "%.3f" cse_ratio);
-      ("slots", string_of_int (Fused.slots fused));
-      ("tile", string_of_int (Fused.tile fused));
-      ("per_expr_us", Printf.sprintf "%.2f" (us t_per_expr));
-      ("fused_us", Printf.sprintf "%.2f" (us t_fused));
-      ("speedup", Printf.sprintf "%.3f" speedup);
-      ("speedup_floor", Printf.sprintf "%.2f" speedup_floor);
-      ("speedup_ok", string_of_bool speedup_ok);
-      ("rows_identical", string_of_bool rows_identical);
-      ("probe_identical", string_of_bool probe_identical);
-      ("fronts_identical", fronts_json);
-      ("traces_identical", string_of_bool traces_identical);
-      ("search_unfused_s", Printf.sprintf "%.4f" t_unfused_search);
-      ("search_fused_s", Printf.sprintf "%.4f" t_fused_search);
-      ("search_not_slower", string_of_bool search_not_slower);
-    ];
-  if not (rows_identical && probe_identical) then begin
-    Printf.eprintf "fuse: fused evaluation is not bit-identical to per-expression tapes\n";
-    exit 1
-  end;
-  if not fronts_identical then begin
-    Printf.eprintf "fuse: fronts differ between fuse settings\n";
-    exit 1
-  end;
-  if not traces_identical then begin
-    Printf.eprintf "fuse: deterministic trace projections differ between fuse settings\n";
-    exit 1
-  end;
-  if not speedup_ok then begin
-    Printf.eprintf "fuse: fused speedup %.2fx below the %.1fx floor\n" speedup speedup_floor;
-    exit 1
-  end;
-  if not search_not_slower then begin
-    Printf.eprintf "fuse: fused search slower than unfused (%.3fs vs %.3fs)\n" t_fused_search
-      t_unfused_search;
-    exit 1
-  end
-
 (* --- serve: protocol throughput and served bit-identity ------------------- *)
 
 let experiment_serve options =
@@ -1912,8 +1620,10 @@ let experiment_micro () =
   let rng = Caffeine_util.Rng.create ~seed:99 () in
   let opset = Opset.default in
   let basis = Caffeine.Gen.random_basis rng opset ~dims:13 ~depth:6 ~max_vc_vars:3 in
-  let compiled = Compiled.compile basis in
+  let fused = Fused.compile [| basis |] in
   let point = Array.make 13 1.2 in
+  let columns = Array.map (fun v -> [| v |]) point in
+  let scratch = Fused.scratch () in
   let design =
     Caffeine_linalg.Matrix.init 243 16 (fun i j ->
         sin (float_of_int ((i * 31) + j)) +. if i mod 16 = j then 2. else 0.)
@@ -1926,8 +1636,9 @@ let experiment_micro () =
     [
       Test.make ~name:"expr eval (1 basis, 1 point)"
         (Staged.stage (fun () -> ignore (Interp.eval_basis basis point)));
-      Test.make ~name:"compiled eval (1 basis, 1 point)"
-        (Staged.stage (fun () -> ignore (Compiled.eval_point compiled point)));
+      Test.make ~name:"fused eval (1 basis, 1 point)"
+        (Staged.stage (fun () ->
+             ignore (Fused.eval_columns fused ~scratch ~columns ~n:1)));
       Test.make ~name:"lstsq 243x16"
         (Staged.stage (fun () -> ignore (Caffeine_linalg.Decomp.lstsq design rhs)));
       Test.make ~name:"press 243x16"
@@ -1982,11 +1693,9 @@ let () =
      the streaming experiment must not share a process with experiments
      that allocate dense workloads first. *)
   if options.experiment = "stream" then experiment_stream options;
-  if wants "eval" then experiment_eval options;
   if wants "parallel" then experiment_parallel options;
   if wants "regress" then experiment_regress options;
   if wants "trace" then experiment_trace options;
   if wants "dedup" then experiment_dedup options;
-  if wants "fuse" then experiment_fuse options;
   if wants "serve" then experiment_serve options;
   if wants "micro" then experiment_micro ()

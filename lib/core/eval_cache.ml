@@ -170,10 +170,9 @@ let probe_size t = Array.length t.probe_indices
 (* Raw probe outputs of every basis, concatenated in basis order — the
    exact-match key of L2.  Probing goes through the fused evaluator
    ([Dataset.probe_many]) so subtrees shared between an individual's
-   bases are walked once; its rows match per-basis [Dataset.probe] bit
-   for bit in every cache state, so signatures are stable under
-   column-cache eviction and identical to what per-basis probing would
-   produce. *)
+   bases are walked once; its rows match the memoized columns' entries
+   bit for bit in every cache state, so signatures are stable under
+   column-cache eviction. *)
 let signature t individual =
   Array.concat
     (Array.to_list (Dataset.probe_many t.data individual ~indices:t.probe_indices))

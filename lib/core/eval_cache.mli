@@ -16,7 +16,7 @@
 
     - {b L2 (behavioral)} — only in {!Behavioral} mode.  Candidates are
       keyed by the raw IEEE words of their bases' outputs on a fixed,
-      RNG-seeded probe subsample of the dataset ({!Caffeine_io.Dataset.probe},
+      RNG-seeded probe subsample of the dataset ({!Caffeine_io.Dataset.probe_many},
       stable under column-cache eviction).  Results are reused across
       {e structurally different} candidates only on exact probe-output
       match, and only the fitted training error crosses over — complexity

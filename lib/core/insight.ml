@@ -13,7 +13,7 @@ let unused_variables ~dims model =
 
 let sensitivities (model : Model.t) ~at =
   let dims = Array.length at in
-  (* Compile the bases once; every probe is then a flat tape walk. *)
+  (* Compile the model once; every probe is then a one-sample tape run. *)
   let f = Model.evaluator model in
   let base_value = f at in
   let used = variables_used model in
@@ -35,13 +35,7 @@ let sensitivities (model : Model.t) ~at =
       end)
 
 let exact_sensitivities (model : Model.t) ~at =
-  let ws =
-    {
-      Expr.bias = model.Model.intercept;
-      terms =
-        Array.to_list (Array.mapi (fun j basis -> (model.Model.weights.(j), basis)) model.Model.bases);
-    }
-  in
+  let ws = Model.to_wsum model in
   let base_value = Model.predict_point model at in
   let gradient = Caffeine_expr.Deriv.gradient_wsum ws at in
   Array.mapi

@@ -7,7 +7,7 @@
     sensitivities at a design point, and how variable usage evolves along
     an error/complexity tradeoff front.
 
-    Point probes run through {!Model.evaluator} (bases compiled once per
+    Point probes run through {!Model.evaluator} (the model compiled once per
     query) and the Sobol estimator batches its sample matrices through
     {!Model.predict} over column-major datasets — no tree interpretation
     anywhere. *)

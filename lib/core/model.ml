@@ -1,5 +1,5 @@
 module Expr = Caffeine_expr.Expr
-module Compiled = Caffeine_expr.Compiled
+module Fused = Caffeine_expr.Fused
 module Dataset = Caffeine_io.Dataset
 module Linfit = Caffeine_regress.Linfit
 module Stats = Caffeine_util.Stats
@@ -87,14 +87,21 @@ let fit ~wb ~wvc bases ~data ~targets =
         | fitted -> accept ~wb ~wvc bases fitted
         | exception Caffeine_linalg.Decomp.Singular -> None)
 
+let to_wsum model =
+  {
+    Expr.bias = model.intercept;
+    terms = Array.to_list (Array.map2 (fun w b -> (w, b)) model.weights model.bases);
+  }
+
+(* [Fused.compile_wsums] lowers the model to a [Const intercept] node and
+   one [Fma] per term, the same accumulation order as [predict].  Each call
+   is a one-sample probe with its own scratch, so the closure may be shared
+   between domains. *)
 let evaluator model =
-  let compiled = Array.map Compiled.compile model.bases in
+  let fused = Fused.compile_wsums [| to_wsum model |] in
   fun x ->
-    let acc = ref model.intercept in
-    Array.iteri
-      (fun j c -> acc := !acc +. (model.weights.(j) *. Compiled.eval_point c x))
-      compiled;
-    !acc
+    let columns = Array.map (fun v -> [| v |]) x in
+    (Fused.eval_probe fused ~columns ~indices:[| 0 |]).(0).(0)
 
 let predict_point model x = evaluator model x
 

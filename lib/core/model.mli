@@ -2,9 +2,9 @@
     least-squares-learned linear weights, plus its training error and the
     complexity measure of eq. (1).
 
-    All batch evaluation goes through the compiled engine: basis value
-    columns come from {!Caffeine_io.Dataset.basis_column} (tape-compiled,
-    memoized per dataset) rather than re-interpreting the trees. *)
+    All evaluation goes through the fused engine ({!Caffeine_expr.Fused}):
+    basis value columns come from {!Caffeine_io.Dataset.basis_column}
+    (memoized per dataset) rather than re-interpreting the trees. *)
 
 module Expr = Caffeine_expr.Expr
 module Dataset = Caffeine_io.Dataset
@@ -31,9 +31,14 @@ val fit :
 (** Least-squares weighting of the basis functions; [None] for invalid
     models.  An empty basis array yields the constant model. *)
 
+val to_wsum : t -> Expr.wsum
+(** The model as one weighted sum [intercept + Σ wⱼ·basisⱼ] — the form
+    export, serving and exact sensitivities work on. *)
+
 val evaluator : t -> float array -> float
-(** [evaluator model] compiles every basis once and returns a fast
-    point-evaluation closure — use it when probing many single points
+(** [evaluator model] compiles the whole model once
+    ({!Caffeine_expr.Fused.compile_wsums}) and returns a point-evaluation
+    closure — use it when probing many single points
     (sensitivities, exported-code checks). *)
 
 val predict_point : t -> float array -> float

@@ -44,7 +44,6 @@ val process_front :
   ?trace:Caffeine_obs.Trace.sink ->
   ?already:Model.t list ->
   ?on_model:(int -> Model.t -> unit) ->
-  ?fuse:bool ->
   wb:float ->
   wvc:float ->
   Model.t list ->
@@ -62,21 +61,20 @@ val process_front :
     member (index in [front], result) as it completes; the CLI checkpoints
     from this callback.
 
-    [fuse] (default [true]) pre-warms the dataset's column cache with one
-    fused evaluation of the whole front ({!Model.warm_front}) before the
-    per-model selection loops; results are bit-identical either way. *)
+    The dataset's column cache is pre-warmed with one fused evaluation of
+    the whole front ({!Model.warm_front}) before the per-model selection
+    loops; warmed columns are bit-identical to lazily computed ones. *)
 
 val test_tradeoff :
   ?trace:Caffeine_obs.Trace.sink ->
-  ?fuse:bool ->
   Model.t list ->
   data:Dataset.t ->
   targets:float array ->
   scored list
 (** Score each model on testing data and keep only models on the
     (test error, complexity) tradeoff, sorted by increasing complexity.
-    [fuse] (default [true]) warms the testing dataset's columns with one
-    fused front evaluation first; scores are bit-identical either way.
+    The testing dataset's columns are warmed with one fused front
+    evaluation first; scores do not depend on the warming.
 
     When {e every} model's test error is non-finite (the whole front blew
     up on out-of-range testing samples), an empty result would silently

@@ -22,9 +22,9 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    memoized inside the dataset, keyed by the full structural hash
    (Compiled.Key) — weights included: a mutated weight is a different
    column.  Bases shared between individuals (the common case under set
-   crossover) are compiled, evaluated and Gram-assembled once.  The
-   dataset caches and scratch buffers are domain-safe, so the same closure
-   serves the parallel evaluation paths unchanged. *)
+   crossover) are evaluated and Gram-assembled once.  The dataset caches
+   and scratch buffers are domain-safe, so the same closure serves the
+   parallel evaluation paths unchanged. *)
 
 let fit_cached ~wb ~wvc bases ~data ~targets = Model.fit ~wb ~wvc bases ~data ~targets
 
@@ -79,7 +79,7 @@ let with_search_executor ?executor config f =
 
 let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?on_generation
     ?start ?on_checkpoint ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) ?(fuse = true) config ~data ~targets =
+    ?(eval_cache_limit = Eval_cache.default_limit) config ~data ~targets =
   let dims = validate_data ~data ~targets in
   let wb = config.Config.wb and wvc = config.Config.wvc in
   let objectives individual =
@@ -105,24 +105,20 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
      computed together (shared subtrees once), so the per-genome fits that
      follow hit the column cache.  Purely a throughput hint — warmed
      columns are bit-identical to lazily computed ones — so fronts do not
-     move with fusion on or off.  The accumulators are atomics because
-     [prepare] runs on pool domains; totals are drained per generation
-     into a Fused_stats trace record (dropped by the deterministic
-     projection, like the other effectiveness reports). *)
+     depend on chunk boundaries or cache state.  The accumulators are
+     atomics because [prepare] runs on pool domains; totals are drained
+     per generation into a Fused_stats trace record (dropped by the
+     deterministic projection, like the other effectiveness reports). *)
   let fused_batches = Atomic.make 0
   and fused_nodes_in = Atomic.make 0
   and fused_nodes_out = Atomic.make 0 in
-  let prepare =
-    if not fuse then None
-    else
-      Some
-        (fun (chunk : Vary.individual array) ->
-          let stats = Dataset.warm_columns data (Array.concat (Array.to_list chunk)) in
-          if stats.Dataset.fused_bases > 0 then begin
-            Atomic.incr fused_batches;
-            ignore (Atomic.fetch_and_add fused_nodes_in stats.Dataset.nodes_in);
-            ignore (Atomic.fetch_and_add fused_nodes_out stats.Dataset.nodes_out)
-          end)
+  let prepare (chunk : Vary.individual array) =
+    let stats = Dataset.warm_columns data (Array.concat (Array.to_list chunk)) in
+    if stats.Dataset.fused_bases > 0 then begin
+      Atomic.incr fused_batches;
+      ignore (Atomic.fetch_and_add fused_nodes_in stats.Dataset.nodes_in);
+      ignore (Atomic.fetch_and_add fused_nodes_out stats.Dataset.nodes_out)
+    end
   in
   (* Record construction (objective sorts, variation tallies) happens only
      when someone listens — with the null sink and no callback a traced
@@ -181,23 +177,18 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
         }
       in
       Vary.reset_stats vary_stats;
-      let fused_record : Trace.fused_stats option =
-        if fuse then
-          Some
-            {
-              gen;
-              batches = Atomic.exchange fused_batches 0;
-              nodes_in = Atomic.exchange fused_nodes_in 0;
-              nodes_out = Atomic.exchange fused_nodes_out 0;
-            }
-        else None
+      let fused_record : Trace.fused_stats =
+        {
+          gen;
+          batches = Atomic.exchange fused_batches 0;
+          nodes_in = Atomic.exchange fused_nodes_in 0;
+          nodes_out = Atomic.exchange fused_nodes_out 0;
+        }
       in
       if not (Trace.is_null trace) then begin
         Trace.emit trace (Trace.Generation record);
         Trace.emit trace (Trace.Op_stats op_record);
-        match fused_record with
-        | Some f -> Trace.emit trace (Trace.Fused_stats f)
-        | None -> ()
+        Trace.emit trace (Trace.Fused_stats fused_record)
       end;
       match on_generation with None -> () | Some f -> f record
     end;
@@ -210,7 +201,7 @@ let run_with_rng ~rng ?(executor = Executor.sequential) ?(trace = Trace.null) ?o
     match on_checkpoint with None -> () | Some f -> f gen population
   in
   let population =
-    Nsga2.run ~on_generation:notify ~executor ?start ?cache:nsga_cache ?prepare ~rng
+    Nsga2.run ~on_generation:notify ~executor ?start ?cache:nsga_cache ~prepare ~rng
       {
         Nsga2.pop_size = config.Config.pop_size;
         generations = config.Config.generations;
@@ -337,7 +328,7 @@ let resume_islands ?resume ~trace ~fingerprint ~seed ~restarts ~entry fresh_stat
           Array.copy islands)
 
 let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-    ~fuse islands config ~data ~targets =
+    islands config ~data ~targets =
   let generations = config.Config.generations in
   let evolve k rng start =
     let on_checkpoint =
@@ -356,7 +347,7 @@ let run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_ca
          nested calls fall back to sequential evaluation inside the
          island. *)
       run_with_rng ~rng ~executor ~trace ?on_generation ?start ?on_checkpoint ~eval_cache
-        ~eval_cache_limit ~fuse config ~data ~targets
+        ~eval_cache_limit config ~data ~targets
     in
     (match checkpoint with
     | Some ctx ->
@@ -407,7 +398,7 @@ let checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry co
 
 let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
     ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) ?(fuse = true) config ~data ~targets =
+    ?(eval_cache_limit = Eval_cache.default_limit) config ~data ~targets =
   ignore (validate_data ~data ~targets);
   let fingerprint, checkpoint =
     checkpoint_inputs ?checkpoint_path ?resume ~checkpoint_every ~seed ~entry:"Search.run"
@@ -424,7 +415,7 @@ let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_
     let on_generation = Option.map (fun f ~island:_ record -> f record) on_generation in
     let fronts =
       run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-        ~fuse islands config ~data ~targets
+        islands config ~data ~targets
     in
     {
       front = fronts.(0);
@@ -437,7 +428,7 @@ let run ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_
 
 let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?checkpoint_path
     ?(checkpoint_every = 10) ?resume ?(eval_cache = Eval_cache.Off)
-    ?(eval_cache_limit = Eval_cache.default_limit) ?(fuse = true) ~restarts config ~data ~targets =
+    ?(eval_cache_limit = Eval_cache.default_limit) ~restarts config ~data ~targets =
   if restarts < 1 then invalid_arg "Search.run_multi: need at least 1 restart";
   ignore (validate_data ~data ~targets);
   let fingerprint, checkpoint =
@@ -461,7 +452,7 @@ let run_multi ?(seed = 17) ?executor ?(trace = Trace.null) ?on_generation ?check
   with_search_executor ?executor config @@ fun executor ->
   let fronts =
     run_islands ~executor ~trace ?on_generation ?checkpoint ~eval_cache ~eval_cache_limit
-      ~fuse islands config ~data ~targets
+      islands config ~data ~targets
   in
   let outcome =
     {

@@ -1,10 +1,10 @@
 (** The CAFFEINE search loop: NSGA-II over (training error, complexity) with
     grammar-respecting initialization and variation.
 
-    Basis-function evaluation goes through the compiled batch engine: each
-    distinct basis is lowered to a flat tape once and evaluated column-wise
-    over the whole dataset, and the resulting columns are memoized in the
-    dataset keyed by the full structural hash
+    Basis-function evaluation goes through the fused batch engine
+    ({!Caffeine_expr.Fused}): bases are lowered to a hash-consed kernel tape
+    and evaluated column-wise over the whole dataset, and the resulting
+    columns are memoized in the dataset keyed by the full structural hash
     ({!Caffeine_expr.Compiled.Key} — not the depth-bounded polymorphic
     [Hashtbl.hash], which collides on deep bases sharing a prefix).  Bases
     shared between individuals, the common case under set crossover, are
@@ -47,7 +47,6 @@ val run :
   ?resume:Checkpoint.t ->
   ?eval_cache:Eval_cache.mode ->
   ?eval_cache_limit:int ->
-  ?fuse:bool ->
   Config.t ->
   data:Dataset.t ->
   targets:float array ->
@@ -81,18 +80,17 @@ val run :
     state: they never enter checkpoint snapshots, and resumed runs start
     cold.
 
-    [fuse] (default [true]) evaluates each generation's miss-batch
-    through fused multi-expression tapes ({!Caffeine_expr.Fused}): the
-    batch is split into one chunk per executor job (one chunk on the
-    sequential executor), each worker hash-conses its chunk's bases into
-    a shared DAG, and subtrees shared across the chunk are evaluated once
-    with cache-tiled kernels before the per-genome fits run against the
-    warmed column cache.  Fused columns are
-    bit-identical to per-expression ones, so the evolved front is the
-    same with fusion on or off, at every backend and cache mode.  When
-    observing, one {!Caffeine_obs.Trace.Fused_stats} record per
-    generation reports the cross-tree CSE ratio (dropped by the
-    deterministic projection).
+    Each generation's miss-batch is evaluated through fused
+    multi-expression tapes ({!Caffeine_expr.Fused}): the batch is split
+    into one chunk per executor job (one chunk on the sequential
+    executor), each worker hash-conses its chunk's bases into a shared
+    DAG, and subtrees shared across the chunk are evaluated once with
+    cache-tiled kernels before the per-genome fits run against the warmed
+    column cache.  Warmed columns are bit-identical to lazily computed
+    ones, so the evolved front does not depend on chunk boundaries, the
+    backend or the cache mode.  When observing, one
+    {!Caffeine_obs.Trace.Fused_stats} record per generation reports the
+    cross-tree CSE ratio (dropped by the deterministic projection).
 
     [checkpoint_path] makes the run durable: every [checkpoint_every]
     generations (default 10) and once when the search completes, the full
@@ -117,7 +115,6 @@ val run_multi :
   ?resume:Checkpoint.t ->
   ?eval_cache:Eval_cache.mode ->
   ?eval_cache_limit:int ->
-  ?fuse:bool ->
   restarts:int ->
   Config.t ->
   data:Dataset.t ->

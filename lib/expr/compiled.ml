@@ -1,306 +1,3 @@
-(* Postfix tape lowering of canonical-form bases.
-
-   The tape is evaluated with an explicit stack.  Instructions mirror the
-   interpreter's evaluation order exactly so results (including NaN and
-   infinity cases) are bit-identical:
-
-     basis      ->  VC (or CONST 1)  factor_1 MUL ... factor_k MUL
-     wsum       ->  CONST bias  (basis_1 FMA w_1) ... (basis_m FMA w_m)
-     Unary      ->  wsum UNARY
-     Binary     ->  arg_1 arg_2 BINARY
-     Lte        ->  test threshold less otherwise LTE
-     Const arg  ->  CONST w
-
-   [Lte] evaluates all four operands eagerly and selects per sample; the
-   interpreter only evaluates the taken branch, but expressions are pure so
-   the values agree. *)
-
-type instr =
-  | Iconst of float  (* push a constant column *)
-  | Ivc of int array * int array  (* push a monomial column: (vars, exponents) *)
-  | Iunary of Op.unary  (* replace top *)
-  | Ibinary of Op.binary  (* pop y, pop x, push op(x, y) *)
-  | Ilte  (* pop otherwise/less/threshold/test, push select *)
-  | Imul  (* pop y, pop x, push x *. y *)
-  | Ifma of float  (* pop b, top <- top +. (w *. b) *)
-
-type t = { code : instr array; max_stack : int }
-
-let length t = Array.length t.code
-let max_stack t = t.max_stack
-
-let compile basis =
-  let code = ref [] in
-  let depth = ref 0 in
-  let deepest = ref 0 in
-  let emit instr delta =
-    code := instr :: !code;
-    depth := !depth + delta;
-    if !depth > !deepest then deepest := !depth
-  in
-  let emit_vc exponents =
-    let vars = ref [] and exps = ref [] in
-    Array.iteri
-      (fun v e ->
-        if e <> 0 then begin
-          vars := v :: !vars;
-          exps := e :: !exps
-        end)
-      exponents;
-    match !vars with
-    | [] -> emit (Iconst 1.) 1
-    | _ ->
-        emit
-          (Ivc (Array.of_list (List.rev !vars), Array.of_list (List.rev !exps)))
-          1
-  in
-  let rec basis_code b =
-    (match b.Expr.vc with None -> emit (Iconst 1.) 1 | Some exponents -> emit_vc exponents);
-    List.iter
-      (fun f ->
-        factor_code f;
-        emit Imul (-1))
-      b.Expr.factors
-  and factor_code = function
-    | Expr.Unary (op, ws) ->
-        wsum_code ws;
-        emit (Iunary op) 0
-    | Expr.Binary (op, a1, a2) ->
-        arg_code a1;
-        arg_code a2;
-        emit (Ibinary op) (-1)
-    | Expr.Lte { test; threshold; less; otherwise } ->
-        wsum_code test;
-        arg_code threshold;
-        arg_code less;
-        arg_code otherwise;
-        emit Ilte (-3)
-  and arg_code = function
-    | Expr.Const w -> emit (Iconst w) 1
-    | Expr.Sum ws -> wsum_code ws
-  and wsum_code ws =
-    emit (Iconst ws.Expr.bias) 1;
-    List.iter
-      (fun (w, b) ->
-        basis_code b;
-        emit (Ifma w) (-1))
-      ws.Expr.terms
-  in
-  basis_code basis;
-  { code = Array.of_list (List.rev !code); max_stack = !deepest }
-
-(* --- point evaluation --- *)
-
-let eval_point t x =
-  let stack = Array.make (Stdlib.max 1 t.max_stack) 0. in
-  let sp = ref 0 in
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Iconst w ->
-          stack.(!sp) <- w;
-          incr sp
-      | Ivc (vars, exps) ->
-          let acc = ref 1. in
-          for k = 0 to Array.length vars - 1 do
-            acc := !acc *. Expr.int_pow x.(vars.(k)) exps.(k)
-          done;
-          stack.(!sp) <- !acc;
-          incr sp
-      | Iunary op -> stack.(!sp - 1) <- Op.apply_unary op stack.(!sp - 1)
-      | Ibinary op ->
-          stack.(!sp - 2) <- Op.apply_binary op stack.(!sp - 2) stack.(!sp - 1);
-          decr sp
-      | Ilte ->
-          let test = stack.(!sp - 4)
-          and threshold = stack.(!sp - 3)
-          and less = stack.(!sp - 2)
-          and otherwise = stack.(!sp - 1) in
-          stack.(!sp - 4) <-
-            (if Float.is_nan test || Float.is_nan threshold then Float.nan
-             else if test <= threshold then less
-             else otherwise);
-          sp := !sp - 3
-      | Imul ->
-          stack.(!sp - 2) <- stack.(!sp - 2) *. stack.(!sp - 1);
-          decr sp
-      | Ifma w ->
-          stack.(!sp - 2) <- stack.(!sp - 2) +. (w *. stack.(!sp - 1));
-          decr sp)
-    t.code;
-  stack.(0)
-
-(* --- column evaluation --- *)
-
-type scratch = { mutable bufs : float array array; mutable samples : int }
-
-let scratch () = { bufs = [||]; samples = 0 }
-
-let ensure scratch ~slots ~n =
-  if scratch.samples < n then begin
-    (* Sample count grew: all existing buffers are too short. *)
-    scratch.bufs <- Array.init (Stdlib.max slots (Array.length scratch.bufs)) (fun _ -> Array.make n 0.);
-    scratch.samples <- n
-  end
-  else if Array.length scratch.bufs < slots then begin
-    let fresh = Array.init slots (fun _ -> Array.make scratch.samples 0.) in
-    Array.blit scratch.bufs 0 fresh 0 (Array.length scratch.bufs);
-    scratch.bufs <- fresh
-  end
-
-(* Per-instruction loops with the operator match hoisted out of the sample
-   loop; the bodies reuse Op.apply_* so any NaN convention change stays in
-   one place. *)
-
-let fill_vc buf ~n ~columns vars exps =
-  Array.fill buf 0 n 1.;
-  for k = 0 to Array.length vars - 1 do
-    let column = columns.(vars.(k)) in
-    let e = exps.(k) in
-    if e = 1 then
-      for i = 0 to n - 1 do
-        buf.(i) <- buf.(i) *. column.(i)
-      done
-    else
-      for i = 0 to n - 1 do
-        buf.(i) <- buf.(i) *. Expr.int_pow column.(i) e
-      done
-  done
-
-let apply_unary_column op buf n =
-  match op with
-  | Op.Square ->
-      for i = 0 to n - 1 do
-        buf.(i) <- buf.(i) *. buf.(i)
-      done
-  | Op.Abs ->
-      for i = 0 to n - 1 do
-        buf.(i) <- Float.abs buf.(i)
-      done
-  | op ->
-      for i = 0 to n - 1 do
-        buf.(i) <- Op.apply_unary op buf.(i)
-      done
-
-let apply_binary_column op x y n =
-  match op with
-  | Op.Div ->
-      for i = 0 to n - 1 do
-        x.(i) <- (if y.(i) = 0. then Float.nan else x.(i) /. y.(i))
-      done
-  | op ->
-      for i = 0 to n - 1 do
-        x.(i) <- Op.apply_binary op x.(i) y.(i)
-      done
-
-(* Runs the column tape and leaves the result in [scratch.bufs.(0)]
-   (first [n] cells); the public entry points copy it out. *)
-let eval_columns_core t ~scratch ~columns ~n =
-  ensure scratch ~slots:(Stdlib.max 1 t.max_stack) ~n;
-  let bufs = scratch.bufs in
-  let sp = ref 0 in
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Iconst w ->
-          Array.fill bufs.(!sp) 0 n w;
-          incr sp
-      | Ivc (vars, exps) ->
-          fill_vc bufs.(!sp) ~n ~columns vars exps;
-          incr sp
-      | Iunary op -> apply_unary_column op bufs.(!sp - 1) n
-      | Ibinary op ->
-          apply_binary_column op bufs.(!sp - 2) bufs.(!sp - 1) n;
-          decr sp
-      | Ilte ->
-          let test = bufs.(!sp - 4)
-          and threshold = bufs.(!sp - 3)
-          and less = bufs.(!sp - 2)
-          and otherwise = bufs.(!sp - 1) in
-          for i = 0 to n - 1 do
-            test.(i) <-
-              (if Float.is_nan test.(i) || Float.is_nan threshold.(i) then Float.nan
-               else if test.(i) <= threshold.(i) then less.(i)
-               else otherwise.(i))
-          done;
-          sp := !sp - 3
-      | Imul ->
-          let x = bufs.(!sp - 2) and y = bufs.(!sp - 1) in
-          for i = 0 to n - 1 do
-            x.(i) <- x.(i) *. y.(i)
-          done;
-          decr sp
-      | Ifma w ->
-          let acc = bufs.(!sp - 2) and b = bufs.(!sp - 1) in
-          for i = 0 to n - 1 do
-            acc.(i) <- acc.(i) +. (w *. b.(i))
-          done;
-          decr sp)
-    t.code
-
-let eval_columns t ~scratch ~columns ~n =
-  eval_columns_core t ~scratch ~columns ~n;
-  Array.sub scratch.bufs.(0) 0 n
-
-let eval_columns_into t ~scratch ~columns ~n ~out =
-  if Array.length out < n then
-    invalid_arg "Compiled.eval_columns_into: output buffer shorter than n";
-  eval_columns_core t ~scratch ~columns ~n;
-  Array.blit scratch.bufs.(0) 0 out 0 n
-
-(* --- probe-subsample evaluation --- *)
-
-(* Per-sample probing reuses the scalar stack evaluator: [eval_point] and
-   [eval_columns] agree bit for bit with the interpreter (module contract),
-   so probing through either path yields the same IEEE words.  Indexing
-   into the stored columns avoids materializing the design point row. *)
-
-let eval_probe t ~columns ~indices =
-  let stack = Array.make (Stdlib.max 1 t.max_stack) 0. in
-  let out = Array.make (Array.length indices) 0. in
-  Array.iteri
-    (fun j i ->
-      let sp = ref 0 in
-      Array.iter
-        (fun instr ->
-          match instr with
-          | Iconst w ->
-              stack.(!sp) <- w;
-              incr sp
-          | Ivc (vars, exps) ->
-              let acc = ref 1. in
-              for k = 0 to Array.length vars - 1 do
-                acc := !acc *. Expr.int_pow columns.(vars.(k)).(i) exps.(k)
-              done;
-              stack.(!sp) <- !acc;
-              incr sp
-          | Iunary op -> stack.(!sp - 1) <- Op.apply_unary op stack.(!sp - 1)
-          | Ibinary op ->
-              stack.(!sp - 2) <- Op.apply_binary op stack.(!sp - 2) stack.(!sp - 1);
-              decr sp
-          | Ilte ->
-              let test = stack.(!sp - 4)
-              and threshold = stack.(!sp - 3)
-              and less = stack.(!sp - 2)
-              and otherwise = stack.(!sp - 1) in
-              stack.(!sp - 4) <-
-                (if Float.is_nan test || Float.is_nan threshold then Float.nan
-                 else if test <= threshold then less
-                 else otherwise);
-              sp := !sp - 3
-          | Imul ->
-              stack.(!sp - 2) <- stack.(!sp - 2) *. stack.(!sp - 1);
-              decr sp
-          | Ifma w ->
-              stack.(!sp - 2) <- stack.(!sp - 2) +. (w *. stack.(!sp - 1));
-              decr sp)
-        t.code;
-      out.(j) <- stack.(0))
-    indices;
-  out
-
-(* --- structural hashing --- *)
-
 (* A fold over every node: unlike [Hashtbl.hash] (which stops after a
    bounded number of meaningful words, so deep bases with a shared prefix
    all collide) this visits the whole tree.  Weights hash by their IEEE

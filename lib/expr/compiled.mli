@@ -1,75 +1,15 @@
-(** Compiled evaluation of canonical-form basis functions.
+(** Structural hashing of canonical-form basis functions — the key of
+    every per-basis cache (dataset columns, dot products, the evaluation
+    cache).
 
-    {!Expr.eval_basis} interprets the tree recursively, one sample at a
-    time: every evaluation re-walks the same lists and closures, which
-    dominates the search's inner loop (every candidate basis is evaluated
-    on every DOE sample each generation).  This module lowers a basis into
-    a flat postfix instruction tape once, and then evaluates the tape
-    either per point (scalar stack) or — the hot path — column-wise over a
-    whole sample matrix with reused scratch buffers: one tight loop per
-    instruction, no recursion, no allocation beyond the result.
+    [Hashtbl.hash] only inspects a bounded prefix of the tree, so deep
+    bases sharing a prefix all collide; {!hash_basis} folds over every
+    node and weight.
 
-    Semantics match the interpreter bit for bit, including NaN/∞
-    propagation: the conditional evaluates both branches eagerly and
-    selects per sample, which is value-equivalent to the interpreter's
-    lazy branch (expressions have no side effects), and the monomial,
-    product and weighted-sum folds run in the same order and association
-    as {!Expr.eval_basis}.
-
-    The module also provides the full structural hash used as the
-    hash-consing key for per-basis caches.  [Hashtbl.hash] only inspects a
-    bounded prefix of the tree, so deep bases sharing a prefix all collide;
-    {!hash_basis} folds over every node and weight. *)
-
-type t
-(** A compiled basis: a postfix tape with a precomputed stack bound. *)
-
-val compile : Expr.basis -> t
-
-val length : t -> int
-(** Number of instructions on the tape. *)
-
-val max_stack : t -> int
-(** Stack slots (scratch columns) needed to evaluate the tape. *)
-
-val eval_point : t -> float array -> float
-(** Evaluate at a single design point; equals [Expr.eval_basis b x] for
-    the source basis (including NaN cases). *)
-
-type scratch
-(** Reusable stack of column buffers.  One scratch can be shared by any
-    number of sequential {!eval_columns} calls; it grows to the largest
-    (stack depth × sample count) seen. *)
-
-val scratch : unit -> scratch
-
-val eval_columns :
-  t -> scratch:scratch -> columns:float array array -> n:int -> float array
-(** [eval_columns c ~scratch ~columns ~n] evaluates the tape once over all
-    [n] samples, where [columns.(v).(i)] is design variable [v] at sample
-    [i] (column-major / struct-of-arrays).  Returns a fresh length-[n]
-    result column; the scratch buffers are reused across calls. *)
-
-val eval_columns_into :
-  t ->
-  scratch:scratch ->
-  columns:float array array ->
-  n:int ->
-  out:float array ->
-  unit
-(** {!eval_columns} into a caller-owned buffer: fills the first [n] cells
-    of [out] (cells past [n] are untouched) with the same IEEE words a
-    fresh {!eval_columns} call would return.  Used by the chunked dataset
-    path to evaluate per-chunk without allocating a column per chunk.
-    Raises [Invalid_argument] when [out] is shorter than [n]. *)
-
-val eval_probe : t -> columns:float array array -> indices:int array -> float array
-(** [eval_probe c ~columns ~indices] evaluates the tape at the selected
-    sample indices only — the behavioral-fingerprint probe of the
-    evaluation cache.  Entry [j] of the result equals
-    [eval_point c (point indices.(j))] bit for bit (and hence also the
-    corresponding entry of {!eval_columns}), so probe outputs are stable
-    whether or not a full column was ever materialized or cached. *)
+    The module keeps its historical name from when it also held a
+    per-basis postfix evaluator; evaluation now lives in {!Fused} alone.
+    The name stays until the next benchmark change, because the
+    benchmark harness calls [Compiled.Key.hash]. *)
 
 val hash_basis : Expr.basis -> int
 (** Structural hash over the {e entire} tree: every constructor, operator,

@@ -1,8 +1,7 @@
 (* Cross-tree CSE over sets of bases, evaluated with tiled kernels.
 
-   Lowering mirrors Compiled one instruction per DAG node, so every node
-   value equals the corresponding single-expression stack value bit for
-   bit:
+   Lowering follows Expr.eval_basis one fold step per DAG node, so every
+   node value equals the interpreter's intermediate value bit for bit:
 
      basis      ->  VC (or CONST 1)  then one MUL per factor
      wsum       ->  CONST bias  then one FMA per term
@@ -34,9 +33,10 @@ type node =
 
 (* --- hash-consing ------------------------------------------------------- *)
 
-(* Same identity as Compiled.Key lifted to DAG nodes: children by id,
-   weights by IEEE bits (so -0. and 0. are distinct columns and NaN
-   weights are self-equal), same FNV-ish combine. *)
+(* Same identity as Compiled.Key (the basis-level structural hash) lifted
+   to DAG nodes: children by id, weights by IEEE bits (so -0. and 0. are
+   distinct columns and NaN weights are self-equal), same FNV-ish
+   combine. *)
 
 let combine h k = (h * 0x01000193) + k
 let fbits f = Int64.to_int (Int64.bits_of_float f)
@@ -96,7 +96,7 @@ let intern b node =
       Node_tbl.add b.tbl node id;
       id
 
-(* --- lowering (mirrors Compiled.compile exactly) ------------------------ *)
+(* --- lowering (the interpreter's evaluation order) ---------------------- *)
 
 let vc_node b exponents =
   let vars = ref [] and exps = ref [] in
@@ -167,6 +167,7 @@ type t = {
   slot_count : int;
   tile_width : int;
   nodes_in : int;
+  used_vars : int array;  (* design variables some Kvc reads, ascending *)
 }
 
 let operands = function
@@ -238,6 +239,11 @@ let plan b root_ids =
       if last_use.(i) = i then release dst)
     dag;
   let slot_count = !next in
+  let used_vars =
+    Array.fold_left
+      (fun acc n -> match n with Vc { vars; _ } -> Array.to_list vars @ acc | _ -> acc)
+      [] dag
+  in
   {
     dag;
     root_ids;
@@ -245,6 +251,7 @@ let plan b root_ids =
     slot_count;
     tile_width = pick_tile ~slot_count;
     nodes_in = b.interned;
+    used_vars = Array.of_list (List.sort_uniq Stdlib.compare used_vars);
   }
 
 let compile bases =
@@ -284,9 +291,11 @@ let ensure scratch ~slots ~width =
 
 (* One tile of every kernel.  [indices = None] reads samples [lo, lo+len);
    [Some idx] gathers samples [idx.(lo+j)] (the probe path).  Output rows
-   are indexed by tile position either way.  The loops match Compiled's
-   per-instruction bodies exactly (same Op.apply_* calls, same Square/Abs
-   specializations, same Div and Lte NaN conventions). *)
+   are indexed by tile position either way.  The loops compute what
+   Expr.eval_basis computes per sample (the Square/Abs/Div specializations
+   equal their Op.apply_* results, and Lte keeps the interpreter's NaN
+   convention).  Design columns and probe indices are read unchecked:
+   [check_columns] and [check_indices] validate them once per call. *)
 let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
   Array.iter
     (fun k ->
@@ -383,23 +392,48 @@ let exec_tile code bufs ~columns ~outputs ~indices ~lo ~len =
       | Kout { root; src } -> Array.blit bufs.(src) 0 outputs.(root) lo len)
     code
 
-let eval_over t ~scratch:s ~columns ~indices ~n =
+(* Every design column a Kvc reads must cover the samples the call
+   touches; checking once per call costs O(used variables + indices) and
+   keeps the unchecked kernel reads in bounds. *)
+let check_columns t ~fn ~columns ~n =
+  Array.iter
+    (fun v ->
+      if v >= Array.length columns then
+        invalid_arg (Printf.sprintf "Fused.%s: no column for variable %d" fn v);
+      if Array.length columns.(v) < n then
+        invalid_arg (Printf.sprintf "Fused.%s: column %d shorter than %d samples" fn v n))
+    t.used_vars
+
+let check_indices t ~columns ~indices =
+  check_columns t ~fn:"eval_probe" ~columns ~n:0;
+  let rows =
+    Array.fold_left (fun m v -> Stdlib.min m (Array.length columns.(v))) max_int t.used_vars
+  in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= rows then
+        invalid_arg (Printf.sprintf "Fused.eval_probe: index %d outside the columns" i))
+    indices
+
+(* Tiles never exceed [n] samples, so a short call (a probe, one design
+   point) sizes the arena to [n] rather than a full tile. *)
+let run t s ~columns ~outputs ~indices ~n =
+  ensure s ~slots:(Stdlib.max 1 t.slot_count) ~width:(Stdlib.min t.tile_width n);
+  let bufs = s.bufs in
+  let lo = ref 0 in
+  while !lo < n do
+    let len = Stdlib.min t.tile_width (n - !lo) in
+    exec_tile t.code bufs ~columns ~outputs ~indices ~lo:!lo ~len;
+    lo := !lo + len
+  done
+
+let eval_columns t ~scratch ~columns ~n =
+  check_columns t ~fn:"eval_columns" ~columns ~n;
   let outputs = Array.map (fun _ -> Array.make n 0.) t.root_ids in
-  if Array.length t.code > 0 then begin
-    ensure s ~slots:(Stdlib.max 1 t.slot_count) ~width:t.tile_width;
-    let bufs = s.bufs in
-    let lo = ref 0 in
-    while !lo < n do
-      let len = Stdlib.min t.tile_width (n - !lo) in
-      exec_tile t.code bufs ~columns ~outputs ~indices ~lo:!lo ~len;
-      lo := !lo + len
-    done
-  end;
+  run t scratch ~columns ~outputs ~indices:None ~n;
   outputs
 
-let eval_columns t ~scratch ~columns ~n = eval_over t ~scratch ~columns ~indices:None ~n
-
-let eval_columns_into t ~scratch:s ~columns ~n ~out =
+let eval_columns_into t ~scratch ~columns ~n ~out =
   if Array.length out <> Array.length t.root_ids then
     invalid_arg "Fused.eval_columns_into: one output buffer per root required";
   Array.iter
@@ -407,18 +441,12 @@ let eval_columns_into t ~scratch:s ~columns ~n ~out =
       if Array.length buf < n then
         invalid_arg "Fused.eval_columns_into: output buffer shorter than n")
     out;
-  if Array.length t.code = 0 then Array.iter (fun buf -> Array.fill buf 0 n 0.) out
-  else begin
-    ensure s ~slots:(Stdlib.max 1 t.slot_count) ~width:t.tile_width;
-    let bufs = s.bufs in
-    let lo = ref 0 in
-    while !lo < n do
-      let len = Stdlib.min t.tile_width (n - !lo) in
-      exec_tile t.code bufs ~columns ~outputs:out ~indices:None ~lo:!lo ~len;
-      lo := !lo + len
-    done
-  end
+  check_columns t ~fn:"eval_columns_into" ~columns ~n;
+  run t scratch ~columns ~outputs:out ~indices:None ~n
 
 let eval_probe t ~columns ~indices =
-  eval_over t ~scratch:(scratch ()) ~columns ~indices:(Some indices)
-    ~n:(Array.length indices)
+  check_indices t ~columns ~indices;
+  let n = Array.length indices in
+  let outputs = Array.map (fun _ -> Array.make n 0.) t.root_ids in
+  run t (scratch ()) ~columns ~outputs ~indices:(Some indices) ~n;
+  outputs

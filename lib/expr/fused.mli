@@ -1,11 +1,13 @@
-(** Fused evaluation of {e sets} of canonical-form basis functions.
+(** Fused evaluation of {e sets} of canonical-form basis functions — the
+    one expression engine behind dataset columns, probes, model
+    evaluation, serving and export.
 
-    {!Compiled} lowers one basis to one postfix tape; evaluating a whole
-    generation (or a whole Pareto front) that way recomputes every subtree
-    shared between candidates — and GP populations under set crossover
-    share enormously.  This module hash-conses a set of bases into a
-    single DAG using the same structural identity as {!Compiled.Key}
-    (structural equality, weights by IEEE bits), emits one
+    {!Expr.eval_basis} interprets one tree at one sample; evaluating a
+    whole generation (or a whole Pareto front) that way re-walks every
+    subtree shared between candidates — and GP populations under set
+    crossover share enormously.  This module hash-conses a set of bases
+    into a single DAG using the same structural identity as
+    {!Compiled.Key} (structural equality, weights by IEEE bits), emits one
     topologically-ordered tape where each distinct subtree is computed
     exactly once, and evaluates it with cache-tiled kernels: the sample
     dimension is blocked so the whole working set (one tile per live
@@ -13,16 +15,23 @@
     per-root output rows are the only allocations — intermediate tiles
     live in a reusable scratch arena whose slots are recycled by liveness
     (a value's slot is reused as soon as its last consumer has read it).
+    A single basis is the one-root case.
 
-    Results are {b bit-identical} to per-expression {!Compiled}
-    evaluation: every DAG node corresponds to one instruction of the
-    single-expression tape, applied in the same order and association
-    ({!Compiled}'s lowering is mirrored exactly, including the eager
-    4-operand conditional, the [Div]-by-zero NaN guard and the monomial
-    fill order), and all kernels are elementwise, so fusing, tiling and
-    slot reuse cannot change any IEEE word.  Fusion is therefore safe on
-    the search hot path: workers fusing their own chunk of a generation
-    produce the same objectives as sequential per-expression evaluation. *)
+    Results are {b bit-identical} to {!Expr.eval_basis} (NaN for NaN):
+    every DAG node is one step of the interpreter's folds, applied in the
+    same order and association (monomial factors in variable order, the
+    factor product and the weighted sum left to right), the conditional
+    evaluates both branches eagerly and selects per sample (value-equal to
+    the interpreter's lazy branch, since expressions are pure) with the
+    same NaN convention, and all kernels are elementwise, so fusing,
+    tiling and slot reuse cannot change any IEEE word.  Fusion is
+    therefore safe on the search hot path: workers fusing their own chunk
+    of a generation produce the same objectives as evaluating one basis
+    at a time.
+
+    Inputs are checked once per call: a design column the tape reads that
+    is missing or shorter than the samples asked for, or a probe index
+    outside it, raises [Invalid_argument] before any kernel runs. *)
 
 type node =
   | Const of float
@@ -83,8 +92,10 @@ val eval_columns :
   t -> scratch:scratch -> columns:float array array -> n:int -> float array array
 (** [eval_columns t ~scratch ~columns ~n] evaluates every root over all
     [n] samples ([columns.(v).(i)] is design variable [v] at sample [i]).
-    Row [r] of the result is a fresh length-[n] column equal, bit for
-    bit, to [Compiled.eval_columns (Compiled.compile bases.(r)) ...]. *)
+    Row [r] of the result is a fresh length-[n] column whose entry [i]
+    equals [Expr.eval_basis bases.(r)] at sample [i], bit for bit.
+    Raises [Invalid_argument] when a column the tape reads is missing or
+    shorter than [n]. *)
 
 val eval_columns_into :
   t ->
@@ -98,10 +109,13 @@ val eval_columns_into :
     untouched).  The streaming (chunked) dataset path calls this once per
     chunk with buffers allocated once per pass, so a million-row fit does
     not churn a fresh result matrix per chunk.  Raises [Invalid_argument]
-    unless [out] has one buffer of length >= [n] per root. *)
+    unless [out] has one buffer of length >= [n] per root and every
+    column the tape reads has length >= [n]. *)
 
 val eval_probe : t -> columns:float array array -> indices:int array -> float array array
 (** Evaluate every root at the selected sample indices only — the fused
-    behavioral-fingerprint probe.  Entry [(r, j)] equals the
-    corresponding entry of per-expression {!Compiled.eval_probe} bit for
-    bit.  [indices] may be empty, a single index, or contain repeats. *)
+    behavioral-fingerprint probe.  Entry [(r, j)] equals entry
+    [indices.(j)] of the {!eval_columns} row [r] bit for bit.  [indices]
+    may be empty, a single index, or contain repeats; an index that is
+    negative or past the end of a column the tape reads raises
+    [Invalid_argument]. *)

@@ -79,11 +79,9 @@ type t = {
   var_names : string array;
   storage : storage;
   n : int;
-  scratch_key : Compiled.scratch Domain.DLS.key;
-      (* per-domain scratch: column evaluation reuses buffers without
-         sharing them across concurrent evaluators *)
   fused_scratch_key : Fused.scratch Domain.DLS.key;
-      (* per-domain tile arena for fused batch evaluation *)
+      (* per-domain tile arena: evaluation reuses buffers without sharing
+         them across concurrent evaluators *)
   shards : shard array;  (* basis -> value column on this data *)
   mutable cache_limit : int;  (* max cached columns across all shards *)
   dot_shards : dot_shard array;
@@ -130,7 +128,6 @@ let make_with ~var_names ~storage ~n ~ones =
     var_names;
     storage;
     n;
-    scratch_key = Domain.DLS.new_key (fun () -> Compiled.scratch ());
     fused_scratch_key = Domain.DLS.new_key (fun () -> Fused.scratch ());
     shards =
       Array.init shard_count (fun _ ->
@@ -292,19 +289,27 @@ let split data ~at =
       in
       (part 0 at, part at (data.n - at))
 
-let eval_column compiled data =
-  let scratch = Domain.DLS.get data.scratch_key in
+(* Streams one basis over the chunks in row order: [f] sees each chunk's
+   values in the first [len] cells of a buffer reused across chunks.
+   Evaluation is elementwise, so chunk-by-chunk values match whole-column
+   evaluation bit for bit. *)
+let iter_chunk_values data src basis f =
+  let fused = Fused.compile [| basis |] in
+  let scratch = Domain.DLS.get data.fused_scratch_key in
+  let out = [| Array.make src.src_chunk_rows 0. |] in
+  src.src_iter (fun ~row0 ~len columns ->
+      Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
+      f ~row0 ~len out.(0))
+
+let eval_column basis data =
   match data.storage with
-  | Dense columns -> Compiled.eval_columns compiled ~scratch ~columns ~n:data.n
+  | Dense columns ->
+      let scratch = Domain.DLS.get data.fused_scratch_key in
+      (Fused.eval_columns (Fused.compile [| basis |]) ~scratch ~columns ~n:data.n).(0)
   | Chunked src ->
-      (* Chunk-by-chunk evaluation is elementwise identical to whole-column
-         evaluation ([Compiled.eval_columns] applies the same tape op to
-         each sample independently), so materialized columns match the
-         dense path bit for bit. *)
       let out = Array.make data.n 0. in
-      src.src_iter (fun ~row0 ~len columns ->
-          let part = Compiled.eval_columns compiled ~scratch ~columns ~n:len in
-          Array.blit part 0 out row0 len);
+      iter_chunk_values data src basis (fun ~row0 ~len values ->
+          Array.blit values 0 out row0 len);
       out
 
 let shard_of data basis = data.shards.(Compiled.hash_basis basis land (shard_count - 1))
@@ -316,7 +321,7 @@ let basis_column data basis =
          caching even a few would blow the memory budget streaming exists
          to hold, so chunked storage materializes fresh and never fills
          the column cache.  Dot products, being scalars, stay cached. *)
-      eval_column (Compiled.compile basis) data
+      eval_column basis data
   | Dense _ ->
   let shard = shard_of data basis in
   Mutex.lock shard.lock;
@@ -330,7 +335,7 @@ let basis_column data basis =
       Mutex.unlock shard.lock;
       (* Evaluate outside the lock: another domain may compute the same
          column concurrently, but both results are identical. *)
-      let col = eval_column (Compiled.compile basis) data in
+      let col = eval_column basis data in
       let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
       Mutex.lock shard.lock;
       if Compiled.Tbl.length shard.table >= per_shard_limit then begin
@@ -343,34 +348,12 @@ let basis_column data basis =
       Mutex.unlock shard.lock;
       col
 
-(* Probe evaluation for behavioral fingerprints: subsample a cached column
-   when one is present, otherwise evaluate the tape at the probe indices
-   only — never filling the cache (probes touch a handful of samples, so a
-   full column is not worth materializing for them).  Both paths produce
-   the same IEEE words ([Compiled.eval_probe] matches [eval_columns] entry
-   for entry), so fingerprints are stable across cache eviction. *)
-
 (* On chunked storage, probes gather the input variables at the probe rows
    and evaluate with identity indices over the gathered slices: probe
    evaluation is elementwise, so the values match what a materialized
    column would hold at those rows — fingerprints agree across storage
    kinds. *)
 let identity_indices indices = Array.init (Array.length indices) Fun.id
-
-let probe data basis ~indices =
-  match data.storage with
-  | Chunked src ->
-      let gathered = src.src_gather indices in
-      Compiled.eval_probe (Compiled.compile basis) ~columns:gathered
-        ~indices:(identity_indices indices)
-  | Dense columns -> (
-      let shard = shard_of data basis in
-      Mutex.lock shard.lock;
-      let cached = Compiled.Tbl.find_opt shard.table basis in
-      Mutex.unlock shard.lock;
-      match cached with
-      | Some col -> Array.map (fun i -> col.(i)) indices
-      | None -> Compiled.eval_probe (Compiled.compile basis) ~columns ~indices)
 
 (* --- fused batch evaluation ---------------------------------------------- *)
 
@@ -406,8 +389,8 @@ let warm_columns data bases =
      one install per distinct basis), then one fused evaluation of all of
      them together, installed under the same bounded-shard policy as
      [basis_column].  Each row of the fused result is bit-identical to the
-     per-expression column, so a warmed cache serves exactly the values a
-     cold one would have computed. *)
+     one-root column [basis_column] computes, so a warmed cache serves
+     exactly the values a cold one would have computed. *)
   let seen = Compiled.Tbl.create (Array.length bases) in
   let rev_missing = ref [] in
   Array.iter
@@ -447,11 +430,10 @@ let warm_columns data bases =
       { fused_bases = Array.length missing; nodes_in; nodes_out }
 
 let probe_many data bases ~indices =
-  (* Probes never fill the column cache (same policy as [probe]); the
-     fused path exists so fingerprinting a whole individual stops
-     re-walking subtrees its bases share.  Values are bit-identical to
-     per-basis [probe] in every cache state, so fingerprints cannot
-     depend on whether an individual went through the fused path. *)
+  (* Probes touch a handful of samples, so they never fill the column
+     cache, and they evaluate at the probe indices only whether or not a
+     column is cached.  The values equal the memoized columns' entries bit
+     for bit, so fingerprints do not depend on cache state. *)
   match data.storage with
   | Dense columns -> Fused.eval_probe (Fused.compile bases) ~columns ~indices
   | Chunked src ->
@@ -520,9 +502,9 @@ let store_target data key value =
 (* Streamed products carry one scalar accumulator across chunk boundaries
    in row order, so every one of them reproduces the dense sequential
    [dot_product] to the last bit (same additions, same order).  Pair dots
-   evaluate both bases through one fused tape per chunk; fused values are
-   bit-identical to per-expression compilation (§7h), which the dense
-   path's columns also come from. *)
+   evaluate both bases through one fused tape per chunk; a two-root tape
+   gives the same IEEE words as the one-root tapes the dense path's
+   columns come from (§7h). *)
 let chunked_dot data src b1 b2 =
   let fused = Fused.compile [| b1; b2 |] in
   let scratch = Domain.DLS.get data.fused_scratch_key in
@@ -537,14 +519,10 @@ let chunked_dot data src b1 b2 =
   !acc
 
 let chunked_dot_target data src basis targets =
-  let compiled = Compiled.compile basis in
-  let scratch = Domain.DLS.get data.scratch_key in
-  let out = Array.make src.src_chunk_rows 0. in
   let acc = ref 0. in
-  src.src_iter (fun ~row0 ~len columns ->
-      Compiled.eval_columns_into compiled ~scratch ~columns ~n:len ~out;
+  iter_chunk_values data src basis (fun ~row0 ~len values ->
       for r = 0 to len - 1 do
-        acc := !acc +. (out.(r) *. targets.(row0 + r))
+        acc := !acc +. (values.(r) *. targets.(row0 + r))
       done);
   !acc
 
@@ -552,14 +530,10 @@ let chunked_dot_target data src basis targets =
    the column against a literal ones vector, and bit-identity of the two
    paths is part of the determinism contract. *)
 let chunked_column_sum data src basis =
-  let compiled = Compiled.compile basis in
-  let scratch = Domain.DLS.get data.scratch_key in
-  let out = Array.make src.src_chunk_rows 0. in
   let acc = ref 0. in
-  src.src_iter (fun ~row0:_ ~len columns ->
-      Compiled.eval_columns_into compiled ~scratch ~columns ~n:len ~out;
+  iter_chunk_values data src basis (fun ~row0:_ ~len values ->
       for r = 0 to len - 1 do
-        acc := !acc +. (out.(r) *. 1.)
+        acc := !acc +. (values.(r) *. 1.)
       done);
   !acc
 

@@ -6,7 +6,9 @@
     carries the variable names, and memoizes per-basis value columns keyed
     by the full structural hash ({!Caffeine_expr.Compiled.Key}) — so a
     basis shared between individuals, or revisited by SAG after the
-    search, is compiled and evaluated on a given dataset exactly once.
+    search, is evaluated on a given dataset exactly once.  Every
+    evaluation goes through {!Caffeine_expr.Fused}; a single basis is a
+    one-root fused tape.
 
     Datasets are safe to evaluate from multiple domains concurrently (the
     parallel search evaluates NSGA-II candidates and whole islands against
@@ -95,24 +97,16 @@ val split : t -> at:int -> t * t
     [0 < at < n_samples], or on chunked storage (split the source file
     instead). *)
 
-val eval_column : Compiled.t -> t -> float array
-(** Evaluate a compiled basis over every sample (fresh result column, no
-    memoization); the tape's scratch buffers are reused across calls on
-    the same dataset. *)
+val eval_column : Expr.basis -> t -> float array
+(** Evaluate a basis over every sample (fresh result column, no
+    memoization); the tile arena is reused across calls on the same
+    dataset and domain. *)
 
 val basis_column : t -> Expr.basis -> float array
-(** Memoized: compile the basis (first time only) and evaluate it over the
-    dataset.  Subsequent calls with a structurally equal basis return the
-    cached column — shared, do not mutate.  Agrees with
-    {!Expr.eval_basis} on every sample. *)
-
-val probe : t -> Expr.basis -> indices:int array -> float array
-(** [probe data basis ~indices] is the basis value at the selected sample
-    indices — the raw material of behavioral fingerprints.  Reuses a
-    memoized column when one is present and otherwise evaluates the tape
-    at the probe points only, {e without} filling the column cache; both
-    paths return the same IEEE words, so probe outputs do not depend on
-    cache state ({!clear_cache} mid-run included). *)
+(** Memoized: evaluate the basis over the dataset (first time only).
+    Subsequent calls with a structurally equal basis return the cached
+    column — shared, do not mutate.  Agrees with {!Expr.eval_basis} bit
+    for bit (NaN for NaN) on every sample. *)
 
 type fuse_stats = {
   fused_bases : int;  (** distinct bases that had no memoized column *)
@@ -127,17 +121,21 @@ val warm_columns : t -> Expr.basis array -> fuse_stats
     exactly once with tiled kernels.  Each installed column is
     bit-identical to what {!basis_column} would have computed, so warming
     is purely a throughput optimization: subsequent {!basis_column} /
-    {!dot} / {!probe} calls return the same IEEE words whether or not a
+    {!dot} / {!probe_many} calls return the same IEEE words whether or not a
     batch was warmed (and under the same bounded-shard eviction policy).
     Bumps the [fused.nodes_in] / [fused.nodes_out] counters and the
     [fused.cse_ratio] gauge; the returned stats cover this call only. *)
 
 val probe_many : t -> Expr.basis array -> indices:int array -> float array array
-(** [probe_many data bases ~indices] is [probe] for every basis at once,
-    through one fused DAG — row [k] equals [probe data bases.(k) ~indices]
-    bit for bit, in every cache state.  Used by behavioral fingerprinting
-    so probing an individual evaluates subtrees shared between its bases
-    once.  Never fills the column cache. *)
+(** [probe_many data bases ~indices] is every basis's value at the
+    selected sample indices — the raw material of behavioral
+    fingerprints — through one fused DAG, so probing an individual
+    evaluates subtrees shared between its bases once.  Row [k], entry [j]
+    equals [(basis_column data bases.(k)).(indices.(j))] bit for bit, in
+    every cache state ({!clear_cache} mid-run included) and on either
+    storage kind.  Evaluates at the probe indices only and never fills
+    the column cache.  Raises [Invalid_argument] on an index outside
+    [0, n_samples). *)
 
 val dot : t -> Expr.basis -> Expr.basis -> float
 (** [dot data b1 b2] is the dot product of the two bases' value columns

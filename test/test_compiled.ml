@@ -1,29 +1,58 @@
-(* Tests for the compiled evaluation engine: tape lowering agrees with the
-   tree interpreter on random bases (including NaN/∞ propagation), and the
-   full structural hash distinguishes deep bases that collide under the
-   depth-bounded polymorphic [Hashtbl.hash]. *)
+(* Tests for evaluation fidelity and structural hashing: the fused engine —
+   one basis at a time and as a set sharing subtrees — agrees with the tree
+   interpreter bit for bit on random bases (NaN counted equal to NaN, ∞
+   propagation included), and the full structural hash distinguishes deep
+   bases that collide under the depth-bounded polymorphic [Hashtbl.hash]. *)
 
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
 module Op = Caffeine_expr.Op
 module Compiled = Caffeine_expr.Compiled
+module Fused = Caffeine_expr.Fused
 module Dataset = Caffeine_io.Dataset
 module Opset = Caffeine.Opset
 module Gen = Caffeine.Gen
 
-(* NaN-aware agreement: both NaN, or bitwise-comparable specials, or within
-   1e-12 relative tolerance. *)
+(* Bitwise agreement, with every NaN equal to every other NaN. *)
 let agree expected actual =
   if Float.is_nan expected then Float.is_nan actual
-  else if Float.is_nan actual then false
-  else if expected = actual then true (* covers ±∞ and exact zeros *)
-  else Float.abs (expected -. actual) <= 1e-12 *. Float.max 1. (Float.abs expected)
+  else Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)
 
 let check_agree msg expected actual =
   if not (agree expected actual) then
-    Alcotest.failf "%s: interpreter %.17g, compiled %.17g" msg expected actual
+    Alcotest.failf "%s: interpreter %.17g (%h), fused %.17g (%h)" msg expected expected actual
+      actual
 
-(* --- property: compiled = interpreted on random bases ------------------- *)
+let columns_of rows =
+  Array.init (Array.length rows.(0)) (fun v -> Array.map (fun row -> row.(v)) rows)
+
+(* Every fused path over [rows]: the dataset's one-root column, a one-root
+   probe at every sample in reverse order, and [bases] as one shared set.
+   Each result is checked against the interpreter at every sample. *)
+let check_fused msg bases rows =
+  let columns = columns_of rows in
+  let n = Array.length rows in
+  let set = Fused.eval_columns (Fused.compile bases) ~scratch:(Fused.scratch ()) ~columns ~n in
+  let data = Dataset.of_rows rows in
+  let reversed = Array.init n (fun j -> n - 1 - j) in
+  Array.iteri
+    (fun k basis ->
+      let column = Dataset.eval_column basis data in
+      let probe =
+        (Fused.eval_probe (Fused.compile [| basis |]) ~columns ~indices:reversed).(0)
+      in
+      Array.iteri
+        (fun i row ->
+          let expected = Expr.eval_basis basis row in
+          check_agree (Printf.sprintf "%s basis %d sample %d (column)" msg k i) expected column.(i);
+          check_agree
+            (Printf.sprintf "%s basis %d sample %d (probe)" msg k i)
+            expected probe.(n - 1 - i);
+          check_agree (Printf.sprintf "%s basis %d sample %d (set)" msg k i) expected set.(k).(i))
+        rows)
+    bases
+
+(* --- property: fused = interpreted on random bases ---------------------- *)
 
 let random_matrix rng ~n ~dims =
   Array.init n (fun _ ->
@@ -40,39 +69,23 @@ let test_random_bases_agree () =
   for trial = 1 to 200 do
     let dims = 1 + Rng.int rng 6 in
     let depth = 2 + Rng.int rng 5 in
-    let basis = Gen.random_basis rng Opset.default ~dims ~depth ~max_vc_vars:dims in
+    let bases =
+      Array.init 3 (fun _ -> Gen.random_basis rng Opset.default ~dims ~depth ~max_vc_vars:dims)
+    in
     let n = 3 + Rng.int rng 15 in
-    let rows = random_matrix rng ~n ~dims in
-    let compiled = Compiled.compile basis in
-    (* Point evaluation. *)
-    Array.iteri
-      (fun i row ->
-        check_agree
-          (Printf.sprintf "trial %d point %d" trial i)
-          (Expr.eval_basis basis row)
-          (Compiled.eval_point compiled row))
-      rows;
-    (* Column evaluation over the whole matrix. *)
-    let data = Dataset.of_rows rows in
-    let column = Dataset.eval_column compiled data in
-    Array.iteri
-      (fun i row ->
-        check_agree
-          (Printf.sprintf "trial %d column %d" trial i)
-          (Expr.eval_basis basis row) column.(i))
-      rows
+    check_fused (Printf.sprintf "trial %d" trial) bases (random_matrix rng ~n ~dims)
   done
 
 (* --- targeted NaN / ∞ cases --------------------------------------------- *)
 
 let vc_basis exponents = Expr.{ vc = Some exponents; factors = [] }
 
+(* The basis alone, then in a set with its factor list reversed: the set
+   shares every factor subtree but folds the product in another order. *)
 let check_all_evals msg basis point =
-  let expected = Expr.eval_basis basis point in
-  let compiled = Compiled.compile basis in
-  check_agree (msg ^ " (point)") expected (Compiled.eval_point compiled point);
-  let data = Dataset.of_rows [| point |] in
-  check_agree (msg ^ " (column)") expected (Dataset.eval_column compiled data).(0)
+  check_fused msg [| basis |] [| point |];
+  let reordered = { basis with Expr.factors = List.rev basis.Expr.factors } in
+  check_fused (msg ^ " in a set") [| basis; reordered |] [| point |]
 
 let test_negative_exponent_on_zero () =
   (* x0^-1 at x0 = 0 is nan (int_pow's convention), not an infinity. *)
@@ -127,11 +140,7 @@ let test_lte_nan_propagation () =
   check_all_evals "nan threshold" nan_threshold [| 0. |];
   (* Finite case selects per sample: both branches exercised in one column. *)
   let finite = lte ~test_bias:0. ~threshold:(Expr.Const 1.) in
-  let rows = [| [| 0.5 |]; [| 3. |]; [| 1. |] |] in
-  let column = Dataset.eval_column (Compiled.compile finite) (Dataset.of_rows rows) in
-  Array.iteri
-    (fun i row -> check_agree (Printf.sprintf "select %d" i) (Expr.eval_basis finite row) column.(i))
-    rows
+  check_fused "select" [| finite |] [| [| 0.5 |]; [| 3. |]; [| 1. |] |]
 
 let test_infinity_propagation () =
   (* exp10 of a large sum overflows to +∞; the enclosing product keeps it. *)
@@ -242,19 +251,14 @@ let test_tbl_keys_deep_bases () =
 
 let test_fold_order_matches_interpreter () =
   (* Products and weighted sums are order-sensitive in floating point; the
-     tape must reproduce the interpreter's association exactly, so the
-     comparison here is bit-for-bit equality, not a tolerance. *)
+     fused tape must reproduce the interpreter's association exactly, so
+     [check_fused] compares bit for bit, not within a tolerance. *)
   let rng = Rng.create ~seed:99 () in
-  for _ = 1 to 100 do
+  for trial = 1 to 100 do
     let dims = 3 in
     let basis = Gen.random_basis rng Opset.default ~dims ~depth:6 ~max_vc_vars:3 in
     let point = Array.init dims (fun _ -> Rng.range rng 0.3 1.7) in
-    let expected = Expr.eval_basis basis point in
-    let actual = Compiled.eval_point (Compiled.compile basis) point in
-    if Float.is_nan expected then Alcotest.(check bool) "nan" true (Float.is_nan actual)
-    else
-      Alcotest.(check bool) "bit-identical" true
-        (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual))
+    check_all_evals (Printf.sprintf "trial %d" trial) basis point
   done
 
 let suite =

@@ -1,13 +1,14 @@
 (* Tests for the fused multi-expression engine: hash-consing a set of bases
    into one DAG and evaluating it with tiled kernels must agree bit for bit
-   with the per-expression compiled tapes — on random expression sets, on
-   the probe edge cases (empty index set, single sample, repeated indices)
-   and through the dataset's warm-columns / probe-many entry points. *)
+   with the tree interpreter — on random expression sets, on the probe edge
+   cases (empty index set, single sample, repeated indices) for sets and
+   single roots, and through the dataset's warm-columns / probe-many entry
+   points — and must refuse inputs its unchecked kernels would read out of
+   bounds. *)
 
 module Rng = Caffeine_util.Rng
 module Expr = Caffeine_expr.Expr
 module Op = Caffeine_expr.Op
-module Compiled = Caffeine_expr.Compiled
 module Fused = Caffeine_expr.Fused
 module Dataset = Caffeine_io.Dataset
 module Opset = Caffeine.Opset
@@ -15,12 +16,15 @@ module Gen = Caffeine.Gen
 
 let bits = Int64.bits_of_float
 
+(* Bit-identical, with every NaN equal to every other NaN. *)
+let same a b = if Float.is_nan a then Float.is_nan b else Int64.equal (bits a) (bits b)
+
 let check_row_bits msg (expected : float array) (actual : float array) =
   Alcotest.(check int) (msg ^ " length") (Array.length expected) (Array.length actual);
   Array.iteri
     (fun i e ->
-      if not (Int64.equal (bits e) (bits actual.(i))) then
-        Alcotest.failf "%s: sample %d: per-expression %.17g, fused %.17g" msg i e actual.(i))
+      if not (same e actual.(i)) then
+        Alcotest.failf "%s: sample %d: expected %.17g, fused %.17g" msg i e actual.(i))
     expected
 
 let random_matrix rng ~n ~dims =
@@ -39,13 +43,15 @@ let random_bases rng ~count ~dims =
   Array.init count (fun _ ->
       Gen.random_basis rng Opset.default ~dims ~depth:(2 + Rng.int rng 4) ~max_vc_vars:dims)
 
-(* Per-expression reference: each basis on its own compiled tape. *)
-let reference_columns bases ~columns ~n =
-  let scratch = Compiled.scratch () in
-  Array.map (fun b -> Compiled.eval_columns (Compiled.compile b) ~scratch ~columns ~n) bases
-
+(* Reference: the tree interpreter, one basis at one sample at a time. *)
 let reference_probe bases ~columns ~indices =
-  Array.map (fun b -> Compiled.eval_probe (Compiled.compile b) ~columns ~indices) bases
+  Array.map
+    (fun b ->
+      Array.map (fun i -> Expr.eval_basis b (Array.map (fun column -> column.(i)) columns)) indices)
+    bases
+
+let reference_columns bases ~columns ~n =
+  reference_probe bases ~columns ~indices:(Array.init n Fun.id)
 
 (* --- full-column agreement on random sets -------------------------------- *)
 
@@ -73,7 +79,6 @@ let test_probe_edge_cases () =
   let n = 12 in
   let bases = random_bases rng ~count:6 ~dims in
   let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
-  let fused = Fused.compile bases in
   let cases =
     [
       ("empty index set", [||]);
@@ -82,40 +87,62 @@ let test_probe_edge_cases () =
       ("all samples", Array.init n Fun.id);
     ]
   in
+  (* The whole set, then one basis alone: a single-root tape honors the
+     same contracts. *)
   List.iter
-    (fun (name, indices) ->
-      let fused_rows = Fused.eval_probe fused ~columns ~indices in
-      let expected = reference_probe bases ~columns ~indices in
-      Array.iteri
-        (fun k row -> check_row_bits (Printf.sprintf "%s root %d" name k) expected.(k) row)
-        fused_rows;
-      (* The probe gathers the corresponding full-column entries. *)
+    (fun (label, bases) ->
+      let fused = Fused.compile bases in
       let full = Fused.eval_columns fused ~scratch:(Fused.scratch ()) ~columns ~n in
-      Array.iteri
-        (fun k row ->
+      List.iter
+        (fun (name, indices) ->
+          let name = label ^ ": " ^ name in
+          let fused_rows = Fused.eval_probe fused ~columns ~indices in
+          let expected = reference_probe bases ~columns ~indices in
           Array.iteri
-            (fun j idx ->
-              if not (Int64.equal (bits row.(j)) (bits full.(k).(idx))) then
-                Alcotest.failf "%s: root %d index %d disagrees with the full column" name k idx)
-            indices)
-        fused_rows)
-    cases
+            (fun k row -> check_row_bits (Printf.sprintf "%s root %d" name k) expected.(k) row)
+            fused_rows;
+          (* The probe gathers the corresponding full-column entries. *)
+          Array.iteri
+            (fun k row ->
+              Array.iteri
+                (fun j idx ->
+                  if not (Int64.equal (bits row.(j)) (bits full.(k).(idx))) then
+                    Alcotest.failf "%s: root %d index %d disagrees with the full column" name k
+                      idx)
+                indices)
+            fused_rows)
+        cases)
+    [ ("set", bases); ("single root", [| bases.(0) |]) ]
 
-let test_compiled_probe_edge_cases () =
-  (* The per-expression probe honors the same contracts on its own. *)
-  let rng = Rng.create ~seed:32 () in
-  let dims = 3 in
-  let n = 9 in
-  let basis = Gen.random_basis rng Opset.default ~dims ~depth:4 ~max_vc_vars:dims in
-  let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
-  let compiled = Compiled.compile basis in
-  let full = Compiled.eval_columns compiled ~scratch:(Compiled.scratch ()) ~columns ~n in
-  Alcotest.(check int) "empty probe" 0
-    (Array.length (Compiled.eval_probe compiled ~columns ~indices:[||]));
-  let single = Compiled.eval_probe compiled ~columns ~indices:[| n - 1 |] in
-  check_row_bits "single" [| full.(n - 1) |] single;
-  let repeated = Compiled.eval_probe compiled ~columns ~indices:[| 2; 2; 2 |] in
-  check_row_bits "repeated" [| full.(2); full.(2); full.(2) |] repeated
+(* --- input bounds ---------------------------------------------------------- *)
+
+let test_inputs_bounds_checked () =
+  (* The kernels read design columns and probe indices unchecked, so every
+     entry point must refuse inputs that would read out of bounds. *)
+  let basis = Expr.{ vc = Some [| 1; 1 |]; factors = [] } in
+  let fused = Fused.compile [| basis |] in
+  let full = [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
+  let short = [| [| 1.; 2.; 3. |]; [| 4.; 5. |] |] in
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let scratch = Fused.scratch () in
+  refused "short column" (fun () -> Fused.eval_columns fused ~scratch ~columns:short ~n:3);
+  refused "missing column" (fun () ->
+      Fused.eval_columns fused ~scratch ~columns:[| full.(0) |] ~n:3);
+  refused "short column (into)" (fun () ->
+      Fused.eval_columns_into fused ~scratch ~columns:short ~n:3 ~out:[| Array.make 3 0. |]);
+  refused "index past the end" (fun () ->
+      Fused.eval_probe fused ~columns:full ~indices:[| 0; 3 |]);
+  refused "negative index" (fun () -> Fused.eval_probe fused ~columns:full ~indices:[| -1 |]);
+  refused "index past a short column" (fun () ->
+      Fused.eval_probe fused ~columns:short ~indices:[| 2 |]);
+  (* In-bounds calls still work, including a prefix of longer columns. *)
+  check_row_bits "prefix" [| 4.; 10. |]
+    (Fused.eval_columns fused ~scratch ~columns:short ~n:2).(0);
+  check_row_bits "probe" [| 18. |] (Fused.eval_probe fused ~columns:full ~indices:[| 2 |]).(0)
 
 (* --- single-sample evaluation -------------------------------------------- *)
 
@@ -204,29 +231,30 @@ let test_probe_many_bit_identical () =
   let n = 16 in
   let rows = random_matrix rng ~n ~dims in
   let data = Dataset.of_rows rows in
+  let columns = columns_of_rows dims rows in
   let bases = random_bases rng ~count:7 ~dims in
-  List.iter
-    (fun indices ->
-      let fused_rows = Dataset.probe_many data bases ~indices in
-      Array.iteri
-        (fun k b -> check_row_bits (Printf.sprintf "basis %d" k) (Dataset.probe data b ~indices)
-            fused_rows.(k))
-        bases)
-    [ [||]; [| 0 |]; [| 5; 5; 1 |]; Array.init n Fun.id ]
+  let check_probes state =
+    List.iter
+      (fun indices ->
+        let fused_rows = Dataset.probe_many data bases ~indices in
+        let expected = reference_probe bases ~columns ~indices in
+        Array.iteri
+          (fun k row -> check_row_bits (Printf.sprintf "%s basis %d" state k) expected.(k) row)
+          fused_rows)
+      [ [||]; [| 0 |]; [| 5; 5; 1 |]; Array.init n Fun.id ]
+  in
+  (* Probes do not depend on the column cache: cold, warm, cleared. *)
+  check_probes "cold";
+  Array.iter (fun b -> ignore (Dataset.basis_column data b)) bases;
+  check_probes "warm";
+  Dataset.clear_cache data;
+  check_probes "cleared"
 
 (* --- qcheck property: fused ≡ per-expression ------------------------------ *)
 
-let close a b =
-  (* The engines are bit-identical by design; the property pins at least
-     1e-12 relative agreement so a future refactor that reassociates
-     (legitimately or not) fails loudly rather than silently. *)
-  if Float.is_nan a then Float.is_nan b
-  else if Float.is_nan b then false
-  else a = b || Float.abs (a -. b) <= 1e-12 *. Float.max 1. (Float.abs a)
-
 let property_tests =
   [
-    QCheck.Test.make ~name:"fused set evaluation matches per-expression tapes" ~count:100
+    QCheck.Test.make ~name:"fused set evaluation matches the interpreter" ~count:100
       QCheck.small_int
       (fun seed ->
         let rng = Rng.create ~seed:(seed + 1) () in
@@ -240,7 +268,7 @@ let property_tests =
         in
         let expected = reference_columns bases ~columns ~n in
         Array.for_all2
-          (fun e row -> Array.for_all2 close e row)
+          (fun e row -> Array.for_all2 same e row)
           expected fused_rows);
   ]
 
@@ -248,7 +276,7 @@ let suite =
   [
     Alcotest.test_case "random sets are bit-identical" `Quick test_random_sets_bit_identical;
     Alcotest.test_case "probe edge cases (fused)" `Quick test_probe_edge_cases;
-    Alcotest.test_case "probe edge cases (compiled)" `Quick test_compiled_probe_edge_cases;
+    Alcotest.test_case "inputs are bounds-checked" `Quick test_inputs_bounds_checked;
     Alcotest.test_case "single-sample columns" `Quick test_single_sample_columns;
     Alcotest.test_case "empty expression set" `Quick test_empty_set;
     Alcotest.test_case "duplicate bases collapse to one node" `Quick test_duplicates_collapse;

@@ -274,7 +274,7 @@ let test_dataset_eval_column_matches_interpreter () =
         factors = [ Unary (Caffeine_expr.Op.Sqrt, { bias = 1.; terms = [] }) ];
       }
   in
-  let column = Dataset.eval_column (Compiled.compile basis) data in
+  let column = Dataset.eval_column basis data in
   Array.iteri
     (fun i row ->
       Alcotest.(check (float 1e-12)) "agrees" (Expr.eval_basis basis row) column.(i))

@@ -123,11 +123,14 @@ let property_tests =
         let chunked = Dataset.chunked_of_columns ~chunk_rows columns in
         let rng = Rng.create ~seed:(seed + 1) () in
         let indices = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng n) in
-        Array.for_all
-          (fun basis ->
-            farr_eq (Dataset.probe dense basis ~indices) (Dataset.probe chunked basis ~indices)
-            && farr_eq (Dataset.basis_column dense basis) (Dataset.basis_column chunked basis))
-          bases);
+        let probes = Dataset.probe_many dense bases ~indices in
+        Array.for_all2 farr_eq probes (Dataset.probe_many chunked bases ~indices)
+        && Array.for_all2
+             (fun basis probe ->
+               let column = Dataset.basis_column dense basis in
+               farr_eq column (Dataset.basis_column chunked basis)
+               && farr_eq probe (Array.map (fun i -> column.(i)) indices))
+             bases probes);
     QCheck.Test.make ~name:"forward_select picks identical columns on both storages" ~count:75
       QCheck.(pair small_int (int_range 8 40))
       (fun (seed, n) ->
