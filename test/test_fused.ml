@@ -2,7 +2,7 @@
    into one DAG and evaluating it with tiled kernels must agree bit for bit
    with the tree interpreter — on random expression sets, on the probe edge
    cases (empty index set, single sample, repeated indices) for sets and
-   single roots, and through the dataset's warm-columns / probe-many entry
+   single-root tapes, and through the dataset's warm-columns / probe-many entry
    points — and must refuse inputs its unchecked kernels would read out of
    bounds. *)
 
@@ -79,6 +79,7 @@ let test_probe_edge_cases () =
   let n = 12 in
   let bases = random_bases rng ~count:6 ~dims in
   let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
+  let fused = Fused.compile bases in
   let cases =
     [
       ("empty index set", [||]);
@@ -87,32 +88,40 @@ let test_probe_edge_cases () =
       ("all samples", Array.init n Fun.id);
     ]
   in
-  (* The whole set, then one basis alone: a single-root tape honors the
-     same contracts. *)
   List.iter
-    (fun (label, bases) ->
-      let fused = Fused.compile bases in
+    (fun (name, indices) ->
+      let fused_rows = Fused.eval_probe fused ~columns ~indices in
+      let expected = reference_probe bases ~columns ~indices in
+      Array.iteri
+        (fun k row -> check_row_bits (Printf.sprintf "%s root %d" name k) expected.(k) row)
+        fused_rows;
+      (* The probe gathers the corresponding full-column entries. *)
       let full = Fused.eval_columns fused ~scratch:(Fused.scratch ()) ~columns ~n in
-      List.iter
-        (fun (name, indices) ->
-          let name = label ^ ": " ^ name in
-          let fused_rows = Fused.eval_probe fused ~columns ~indices in
-          let expected = reference_probe bases ~columns ~indices in
+      Array.iteri
+        (fun k row ->
           Array.iteri
-            (fun k row -> check_row_bits (Printf.sprintf "%s root %d" name k) expected.(k) row)
-            fused_rows;
-          (* The probe gathers the corresponding full-column entries. *)
-          Array.iteri
-            (fun k row ->
-              Array.iteri
-                (fun j idx ->
-                  if not (Int64.equal (bits row.(j)) (bits full.(k).(idx))) then
-                    Alcotest.failf "%s: root %d index %d disagrees with the full column" name k
-                      idx)
-                indices)
-            fused_rows)
-        cases)
-    [ ("set", bases); ("single root", [| bases.(0) |]) ]
+            (fun j idx ->
+              if not (Int64.equal (bits row.(j)) (bits full.(k).(idx))) then
+                Alcotest.failf "%s: root %d index %d disagrees with the full column" name k idx)
+            indices)
+        fused_rows)
+    cases
+
+let test_compiled_probe_edge_cases () =
+  (* The per-expression probe — one basis compiled to a single-root tape —
+     honors the same contracts on its own. *)
+  let rng = Rng.create ~seed:32 () in
+  let dims = 3 in
+  let n = 9 in
+  let basis = Gen.random_basis rng Opset.default ~dims ~depth:4 ~max_vc_vars:dims in
+  let columns = columns_of_rows dims (random_matrix rng ~n ~dims) in
+  let compiled = Fused.compile [| basis |] in
+  let full = (Fused.eval_columns compiled ~scratch:(Fused.scratch ()) ~columns ~n).(0) in
+  check_row_bits "full" (reference_columns [| basis |] ~columns ~n).(0) full;
+  let probe indices = (Fused.eval_probe compiled ~columns ~indices).(0) in
+  Alcotest.(check int) "empty probe" 0 (Array.length (probe [||]));
+  check_row_bits "single" [| full.(n - 1) |] (probe [| n - 1 |]);
+  check_row_bits "repeated" [| full.(2); full.(2); full.(2) |] (probe [| 2; 2; 2 |])
 
 (* --- input bounds ---------------------------------------------------------- *)
 
@@ -276,6 +285,7 @@ let suite =
   [
     Alcotest.test_case "random sets are bit-identical" `Quick test_random_sets_bit_identical;
     Alcotest.test_case "probe edge cases (fused)" `Quick test_probe_edge_cases;
+    Alcotest.test_case "probe edge cases (compiled)" `Quick test_compiled_probe_edge_cases;
     Alcotest.test_case "inputs are bounds-checked" `Quick test_inputs_bounds_checked;
     Alcotest.test_case "single-sample columns" `Quick test_single_sample_columns;
     Alcotest.test_case "empty expression set" `Quick test_empty_set;
