@@ -888,7 +888,24 @@ let experiment_regress options =
              ~col_sum:(fun i -> Dataset.column_sum data fit_bases.(i) /. scale i)
              ~basis_values:fit_cols ~targets))
   in
+  (* The fallback a rank-deficient individual pays on every fit: the Gram
+     guard trips on the duplicated basis, the updatable QR rejects it, and
+     the scratch QR hands over to ridge regression.  Warm: every product
+     and column is cached, so this is the fallback's own cost. *)
+  let deficient = Array.append fit_bases [| fit_bases.(0) |] in
+  let wb = config.Config.wb and wvc = config.Config.wvc in
+  let deficient_fit () = ignore (Model.fit ~wb ~wvc deficient ~data ~targets : Model.t option) in
+  let module Metrics = Caffeine_obs.Metrics in
+  let qr_fallbacks = Metrics.counter Metrics.default "linfit.qr_fallbacks" in
+  let fallbacks_before = Metrics.counter_value qr_fallbacks in
+  deficient_fit ();
+  if Metrics.counter_value qr_fallbacks = fallbacks_before then
+    Printf.printf "warning: the duplicated-basis individual did not take the QR fallback\n";
+  let t_fallback_fit = time_per_run deficient_fit in
   let us t = 1e6 *. t in
+  Printf.printf "%-34s %10.1f us\n"
+    (Printf.sprintf "Model.fit (%d bases, rank-deficient)" (sel_count + 1))
+    (us t_fallback_fit);
   Printf.printf "%-34s %10.1f us %10.1f us %8.2fx\n"
     (Printf.sprintf "fit (%d bases, QR)" sel_count)
     (us t_scratch_fit) (us t_incremental_fit)
@@ -919,8 +936,8 @@ let experiment_regress options =
       ( "fit",
         Printf.sprintf
           "{ \"scratch_us\": %.2f, \"incremental_us\": %.2f, \"gram_warm_us\": %.2f, \
-           \"speedup_incremental\": %.2f, \"speedup_gram\": %.2f }"
-          (us t_scratch_fit) (us t_incremental_fit) (us t_gram_fit)
+           \"fallback_us\": %.2f, \"speedup_incremental\": %.2f, \"speedup_gram\": %.2f }"
+          (us t_scratch_fit) (us t_incremental_fit) (us t_gram_fit) (us t_fallback_fit)
           (t_scratch_fit /. t_incremental_fit)
           (t_scratch_fit /. t_gram_fit) );
       ( "dot_cache",

@@ -43,13 +43,15 @@ let accept ~wb ~wvc bases fitted =
       }
   else None
 
-(* Out-of-core fit: the bordered Gram is accumulated (or served from the
-   dot cache) in one pass over the chunks by [Dataset.gram], the solve is
-   the same guarded Cholesky core as the dense path, and the prediction
-   pass re-streams the chunks.  Every product and every prediction is
-   bit-identical to the dense computation, so the two storage paths
-   produce byte-identical fronts. *)
-let fit_streamed ~wb ~wvc bases ~data ~targets =
+(* One path for both storages: [Dataset.gram] serves the bordered Gram's
+   upper triangle from the dot cache (computing only the gaps, from memoized
+   columns or in one pass over the chunks) and screens finiteness, the
+   solve is the guarded Cholesky core of [Linfit], and the prediction pass
+   reads the columns through [Dataset.iter_basis_chunks] — one whole-data
+   chunk of memoized columns on dense storage.  Every product and every
+   prediction is bit-identical across storages, so the two produce
+   byte-identical fronts. *)
+let fit ~wb ~wvc bases ~data ~targets =
   let g = Dataset.gram data bases ~targets in
   if not (Array.for_all Fun.id g.Dataset.finite_bases) then None
   else
@@ -64,28 +66,6 @@ let fit_streamed ~wb ~wvc bases ~data ~targets =
     with
     | fitted -> accept ~wb ~wvc bases fitted
     | exception Caffeine_linalg.Decomp.Singular -> None
-
-let fit ~wb ~wvc bases ~data ~targets =
-  if Dataset.is_chunked data && Array.length bases > 0 then
-    fit_streamed ~wb ~wvc bases ~data ~targets
-  else
-    match basis_columns bases data with
-    | None -> None
-    | Some columns -> (
-        (* Per-individual fits go through the Gram fast path: every entry of
-           the bordered Gram matrix is a dot product memoized on the dataset,
-           so individuals whose bases recur across the population (the common
-           case under set crossover) reuse cached products instead of
-           refactorizing from scratch. *)
-        match
-          Linfit.fit_gram
-            ~dot:(fun i j -> Dataset.dot data bases.(i) bases.(j))
-            ~dot_y:(fun i -> Dataset.dot_target data bases.(i) ~targets)
-            ~col_sum:(fun i -> Dataset.column_sum data bases.(i))
-            ~basis_values:columns ~targets
-        with
-        | fitted -> accept ~wb ~wvc bases fitted
-        | exception Caffeine_linalg.Decomp.Singular -> None)
 
 let to_wsum model =
   {

@@ -29,7 +29,11 @@ val fit :
   wb:float -> wvc:float -> Expr.basis array -> data:Dataset.t -> targets:float array ->
   t option
 (** Least-squares weighting of the basis functions; [None] for invalid
-    models.  An empty basis array yields the constant model. *)
+    models.  An empty basis array yields the constant model.  One path
+    for both storages: {!Dataset.gram} (cached upper-triangle products and
+    finiteness), then {!Caffeine_regress.Linfit.fit_stream} over
+    {!Dataset.iter_basis_chunks}, so dense and streamed data give
+    bit-identical fits. *)
 
 val to_wsum : t -> Expr.wsum
 (** The model as one weighted sum [intercept + Σ wⱼ·basisⱼ] — the form

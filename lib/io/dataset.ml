@@ -17,36 +17,51 @@ module Fused = Caffeine_expr.Fused
    are unordered — hash = sum of the two structural hashes, equality checks
    both orders — and target products are keyed by (basis, target id) where
    ids come from a small physical-equality registry (the search passes the
-   same target array on every call). *)
+   same target array on every call).
+
+   Every key carries its basis's structural hash, computed once per call
+   ([Hashed.make]): shard selection and the table lookup read the stored
+   hash instead of refolding the tree, and equality compares hashes, then
+   physical identity (crossover shares bases by reference), before falling
+   back to a structural comparison. *)
 
 let shard_count = 16 (* power of two: shard selection is a mask *)
 
+module Hashed = struct
+  type t = { basis : Expr.basis; hash : int }
+
+  let make basis = { basis; hash = Compiled.hash_basis basis }
+  let equal x y = x.hash = y.hash && (x.basis == y.basis || Expr.equal_basis x.basis y.basis)
+  let hash x = x.hash
+end
+
+module Basis_tbl = Hashtbl.Make (Hashed)
+
 type shard = {
   lock : Mutex.t;
-  table : float array Compiled.Tbl.t;
+  table : float array Basis_tbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
 module Pair_key = struct
-  type t = Expr.basis * Expr.basis
+  type t = Hashed.t * Hashed.t
 
   let equal (a1, b1) (a2, b2) =
-    (Compiled.Key.equal a1 a2 && Compiled.Key.equal b1 b2)
-    || (Compiled.Key.equal a1 b2 && Compiled.Key.equal b1 a2)
+    (Hashed.equal a1 a2 && Hashed.equal b1 b2) || (Hashed.equal a1 b2 && Hashed.equal b1 a2)
 
   (* Commutative combination: an unordered pair hashes the same both ways. *)
-  let hash (a, b) = (Compiled.hash_basis a + Compiled.hash_basis b) land max_int
+  let hash ((a : Hashed.t), (b : Hashed.t)) = (a.hash + b.hash) land max_int
 end
 
 module Pair_tbl = Hashtbl.Make (Pair_key)
 
 module Target_key = struct
-  type t = Expr.basis * int
+  type t = Hashed.t * int
 
-  let equal (b1, t1) (b2, t2) = t1 = t2 && Compiled.Key.equal b1 b2
-  let hash (b, t) = (Compiled.hash_basis b + (t * 0x9e3779b1)) land max_int
+  let equal (b1, t1) (b2, t2) = t1 = t2 && Hashed.equal b1 b2
+  let hash ((b : Hashed.t), t) = (b.hash + (t * 0x9e3779b1)) land max_int
 end
 
 module Target_tbl = Hashtbl.Make (Target_key)
@@ -87,9 +102,9 @@ type t = {
   dot_shards : dot_shard array;
   mutable dot_cache_limit : int;  (* max cached products across all shards *)
   finite_lock : Mutex.t;
-  finite_table : bool Compiled.Tbl.t;
-      (* chunked storage only: per-basis finiteness screened during the
-         streaming Gram pass, cached so repeat fits skip the data pass *)
+  finite_table : bool Basis_tbl.t;
+      (* per-basis finiteness screened by [gram], cached so repeat fits
+         neither rescan a column nor (chunked) make a data pass *)
   ones : float array;  (* registered as target id 0: ⟨col, 1⟩ = column sum.
                           On chunked storage this is a private 1-element
                           sentinel (a full ones column would defeat the
@@ -131,7 +146,7 @@ let make_with ~var_names ~storage ~n ~ones =
     fused_scratch_key = Domain.DLS.new_key (fun () -> Fused.scratch ());
     shards =
       Array.init shard_count (fun _ ->
-          { lock = Mutex.create (); table = Compiled.Tbl.create 64;
+          { lock = Mutex.create (); table = Basis_tbl.create 64;
             hits = 0; misses = 0; evictions = 0 });
     cache_limit = default_cache_limit;
     dot_shards =
@@ -141,7 +156,7 @@ let make_with ~var_names ~storage ~n ~ones =
             dot_hits = 0; dot_misses = 0; dot_evictions = 0 });
     dot_cache_limit = default_dot_cache_limit;
     finite_lock = Mutex.create ();
-    finite_table = Compiled.Tbl.create 64;
+    finite_table = Basis_tbl.create 64;
     ones;
     targets_lock = Mutex.create ();
     registered_targets = [ (ones, 0) ];
@@ -312,20 +327,30 @@ let eval_column basis data =
           Array.blit values 0 out row0 len);
       out
 
-let shard_of data basis = data.shards.(Compiled.hash_basis basis land (shard_count - 1))
+let shard_of data (key : Hashed.t) = data.shards.(key.hash land (shard_count - 1))
 
-let basis_column data basis =
+(* Install one evaluated column under the bounded policy: drop the shard
+   wholesale once full (misses just re-evaluate; values are unaffected). *)
+let install_column data shard key col =
+  let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
+  if Basis_tbl.length shard.table >= per_shard_limit then begin
+    shard.evictions <- shard.evictions + Basis_tbl.length shard.table;
+    Basis_tbl.reset shard.table
+  end;
+  if not (Basis_tbl.mem shard.table key) then Basis_tbl.add shard.table key col
+
+let hashed_column data (key : Hashed.t) =
   match data.storage with
   | Chunked _ ->
       (* Bypass policy (DESIGN §7j): an out-of-core column is [n] floats —
          caching even a few would blow the memory budget streaming exists
          to hold, so chunked storage materializes fresh and never fills
          the column cache.  Dot products, being scalars, stay cached. *)
-      eval_column basis data
+      eval_column key.basis data
   | Dense _ ->
-  let shard = shard_of data basis in
+  let shard = shard_of data key in
   Mutex.lock shard.lock;
-  match Compiled.Tbl.find_opt shard.table basis with
+  match Basis_tbl.find_opt shard.table key with
   | Some col ->
       shard.hits <- shard.hits + 1;
       Mutex.unlock shard.lock;
@@ -335,18 +360,13 @@ let basis_column data basis =
       Mutex.unlock shard.lock;
       (* Evaluate outside the lock: another domain may compute the same
          column concurrently, but both results are identical. *)
-      let col = eval_column basis data in
-      let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
+      let col = eval_column key.basis data in
       Mutex.lock shard.lock;
-      if Compiled.Tbl.length shard.table >= per_shard_limit then begin
-        (* Simple bounded policy: drop the shard wholesale once full.
-           Misses just re-evaluate; values are unaffected. *)
-        shard.evictions <- shard.evictions + Compiled.Tbl.length shard.table;
-        Compiled.Tbl.reset shard.table
-      end;
-      if not (Compiled.Tbl.mem shard.table basis) then Compiled.Tbl.add shard.table basis col;
+      install_column data shard key col;
       Mutex.unlock shard.lock;
       col
+
+let basis_column data basis = hashed_column data (Hashed.make basis)
 
 (* On chunked storage, probes gather the input variables at the probe rows
    and evaluate with identity indices over the gathered slices: probe
@@ -391,39 +411,34 @@ let warm_columns data bases =
      [basis_column].  Each row of the fused result is bit-identical to the
      one-root column [basis_column] computes, so a warmed cache serves
      exactly the values a cold one would have computed. *)
-  let seen = Compiled.Tbl.create (Array.length bases) in
+  let seen = Basis_tbl.create (Array.length bases) in
   let rev_missing = ref [] in
   Array.iter
     (fun basis ->
-      if not (Compiled.Tbl.mem seen basis) then begin
-        Compiled.Tbl.add seen basis ();
-        let shard = shard_of data basis in
+      let key = Hashed.make basis in
+      if not (Basis_tbl.mem seen key) then begin
+        Basis_tbl.add seen key ();
+        let shard = shard_of data key in
         Mutex.lock shard.lock;
-        let cached = Compiled.Tbl.mem shard.table basis in
+        let cached = Basis_tbl.mem shard.table key in
         Mutex.unlock shard.lock;
-        if not cached then rev_missing := basis :: !rev_missing
+        if not cached then rev_missing := key :: !rev_missing
       end)
     bases;
   match !rev_missing with
   | [] -> { fused_bases = 0; nodes_in = 0; nodes_out = 0 }
   | rev ->
       let missing = Array.of_list (List.rev rev) in
-      let fused = Fused.compile missing in
+      let fused = Fused.compile (Array.map (fun (key : Hashed.t) -> key.basis) missing) in
       let scratch = Domain.DLS.get data.fused_scratch_key in
       let columns = Fused.eval_columns fused ~scratch ~columns:dense_columns ~n:data.n in
-      let per_shard_limit = Stdlib.max 1 (data.cache_limit / shard_count) in
       Array.iteri
-        (fun k basis ->
-          let shard = shard_of data basis in
+        (fun k key ->
+          let shard = shard_of data key in
           Mutex.lock shard.lock;
           (* The fused evaluation stands in for the per-basis miss path. *)
           shard.misses <- shard.misses + 1;
-          if Compiled.Tbl.length shard.table >= per_shard_limit then begin
-            shard.evictions <- shard.evictions + Compiled.Tbl.length shard.table;
-            Compiled.Tbl.reset shard.table
-          end;
-          if not (Compiled.Tbl.mem shard.table basis) then
-            Compiled.Tbl.add shard.table basis columns.(k);
+          install_column data shard key columns.(k);
           Mutex.unlock shard.lock)
         missing;
       let nodes_in, nodes_out = record_fusion fused in
@@ -538,13 +553,14 @@ let chunked_column_sum data src basis =
   !acc
 
 let dot data b1 b2 =
-  let key = (b1, b2) in
+  let k1 = Hashed.make b1 and k2 = Hashed.make b2 in
+  let key = (k1, k2) in
   match find_pair data key with
   | Some value -> value
   | None ->
       let value =
         match data.storage with
-        | Dense _ -> dot_product data.n (basis_column data b1) (basis_column data b2)
+        | Dense _ -> dot_product data.n (hashed_column data k1) (hashed_column data k2)
         | Chunked src -> chunked_dot data src b1 b2
       in
       store_pair data key value;
@@ -569,13 +585,14 @@ let target_id data targets =
 
 let dot_target data basis ~targets =
   if Array.length targets <> data.n then invalid_arg "Dataset.dot_target: length mismatch";
-  let key = (basis, target_id data targets) in
+  let hashed = Hashed.make basis in
+  let key = (hashed, target_id data targets) in
   match find_target data key with
   | Some value -> value
   | None ->
       let value =
         match data.storage with
-        | Dense _ -> dot_product data.n (basis_column data basis) targets
+        | Dense _ -> dot_product data.n (hashed_column data hashed) targets
         | Chunked src -> chunked_dot_target data src basis targets
       in
       store_target data key value;
@@ -587,7 +604,7 @@ let column_sum data basis =
   | Chunked src -> (
       (* Target id 0 is the ones vector; on chunked storage that vector is
          only notional (never allocated at full length). *)
-      let key = (basis, 0) in
+      let key = (Hashed.make basis, 0) in
       match find_target data key with
       | Some value -> value
       | None ->
@@ -595,7 +612,7 @@ let column_sum data basis =
           store_target data key value;
           value)
 
-(* --- one-pass Gram accumulation (streaming fits) -------------------------- *)
+(* --- Gram assembly ----------------------------------------------------------- *)
 
 module Gram_stream = Caffeine_regress.Gram_stream
 module Stats = Caffeine_util.Stats
@@ -607,126 +624,135 @@ type gram = {
   finite_bases : bool array;
 }
 
-let find_finite data basis =
+let find_finite data key =
   Mutex.lock data.finite_lock;
-  let found = Compiled.Tbl.find_opt data.finite_table basis in
+  let found = Basis_tbl.find_opt data.finite_table key in
   Mutex.unlock data.finite_lock;
   found
 
-let store_finite data basis value =
+let store_finite data key value =
   Mutex.lock data.finite_lock;
-  if Compiled.Tbl.length data.finite_table >= data.cache_limit then
-    Compiled.Tbl.reset data.finite_table;
-  if not (Compiled.Tbl.mem data.finite_table basis) then
-    Compiled.Tbl.add data.finite_table basis value;
+  if Basis_tbl.length data.finite_table >= data.cache_limit then
+    Basis_tbl.reset data.finite_table;
+  if not (Basis_tbl.mem data.finite_table key) then Basis_tbl.add data.finite_table key value;
   Mutex.unlock data.finite_lock
+
+(* The entries of the upper triangle and the border that the caches do not
+   hold, computed one way per storage.  Dense storage reads memoized
+   columns (the same [dot_product] as {!dot}); chunked storage evaluates
+   every basis with a gap through one fused tape per chunk and advances
+   all of its accumulators in a single pass (each scalar carried across
+   chunk boundaries in row order, hence bit-identical to the dense
+   sequential products).  The full sub-Gram of those bases is accumulated
+   — a missing (i, j) needs both columns in the pass anyway — but only the
+   gaps are read back. *)
+type gap_values = {
+  gap_dot : int -> int -> float;
+  gap_dot_y : int -> float;
+  gap_col_sum : int -> float;
+  gap_finite : int -> bool;
+}
+
+let gap_values data keys ~targets ~needed =
+  match data.storage with
+  | Dense _ ->
+      let columns = Array.map (fun key -> lazy (hashed_column data key)) keys in
+      let col i = Lazy.force columns.(i) in
+      {
+        gap_dot = (fun i j -> dot_product data.n (col i) (col j));
+        gap_dot_y = (fun i -> dot_product data.n (col i) targets);
+        gap_col_sum = (fun i -> dot_product data.n (col i) data.ones);
+        gap_finite = (fun i -> Stats.is_finite_array (col i));
+      }
+  | Chunked src ->
+      let k = Array.length keys in
+      let needed_idx = Array.of_list (List.filter (fun i -> needed.(i)) (List.init k Fun.id)) in
+      let acc = Gram_stream.create (Array.length needed_idx) in
+      let fused = Fused.compile (Array.map (fun i -> (keys.(i) : Hashed.t).basis) needed_idx) in
+      let scratch = Domain.DLS.get data.fused_scratch_key in
+      let out = Array.map (fun _ -> Array.make src.src_chunk_rows 0.) needed_idx in
+      src.src_iter (fun ~row0 ~len columns ->
+          Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
+          Gram_stream.update acc ~columns:out ~targets ~row0 ~len);
+      let pos = Array.make k (-1) in
+      Array.iteri (fun p i -> pos.(i) <- p) needed_idx;
+      {
+        gap_dot = (fun i j -> Gram_stream.dot acc pos.(i) pos.(j));
+        gap_dot_y = (fun i -> Gram_stream.dot_y acc pos.(i));
+        gap_col_sum = (fun i -> Gram_stream.col_sum acc pos.(i));
+        gap_finite = (fun i -> Gram_stream.finite acc pos.(i));
+      }
 
 let gram data bases ~targets =
   if Array.length targets <> data.n then invalid_arg "Dataset.gram: target length mismatch";
   let k = Array.length bases in
-  if k = 0 then { dots = [||]; dot_ys = [||]; col_sums = [||]; finite_bases = [||] }
-  else
-    match data.storage with
-    | Dense _ ->
-        (* Dense storage assembles from the memoized single-product API —
-           same cache, same values the streaming path would produce. *)
-        {
-          dots =
-            Array.init k (fun i -> Array.init k (fun j -> dot data bases.(i) bases.(j)));
-          dot_ys = Array.init k (fun i -> dot_target data bases.(i) ~targets);
-          col_sums = Array.init k (fun i -> column_sum data bases.(i));
-          finite_bases =
-            Array.init k (fun i -> Stats.is_finite_array (basis_column data bases.(i)));
-        }
-    | Chunked src ->
-        let tid = target_id data targets in
-        let dots = Array.make_matrix k k Float.nan in
-        let dot_ys = Array.make k Float.nan in
-        let col_sums = Array.make k Float.nan in
-        let finite_bases = Array.make k true in
-        let missing_dot = Array.make_matrix k k false in
-        let missing_dot_y = Array.make k false in
-        let missing_sum = Array.make k false in
-        let missing_finite = Array.make k false in
-        (* Which entries the caches already hold; any gap marks every basis
-           it involves for the evaluation pass. *)
-        let needed = Array.make k false in
-        for i = 0 to k - 1 do
-          (match find_target data (bases.(i), tid) with
-          | Some v -> dot_ys.(i) <- v
-          | None ->
-              missing_dot_y.(i) <- true;
-              needed.(i) <- true);
-          (match find_target data (bases.(i), 0) with
-          | Some v -> col_sums.(i) <- v
-          | None ->
-              missing_sum.(i) <- true;
-              needed.(i) <- true);
-          (match find_finite data bases.(i) with
-          | Some v -> finite_bases.(i) <- v
-          | None ->
-              missing_finite.(i) <- true;
-              needed.(i) <- true);
-          for j = i to k - 1 do
-            match find_pair data (bases.(i), bases.(j)) with
-            | Some v ->
-                dots.(i).(j) <- v;
-                dots.(j).(i) <- v
-            | None ->
-                missing_dot.(i).(j) <- true;
-                needed.(i) <- true;
-                needed.(j) <- true
-          done
-        done;
-        let needed_idx =
-          let rev = ref [] in
-          for i = k - 1 downto 0 do
-            if needed.(i) then rev := i :: !rev
-          done;
-          Array.of_list !rev
-        in
-        if Array.length needed_idx > 0 then begin
-          (* One pass over the data: evaluate every needed basis through a
-             fused tape per chunk and advance all accumulators.  The full
-             sub-Gram of the needed set is accumulated (a missing (i, j)
-             needs both columns in the pass anyway); cached entries keep
-             their cached value — recomputation would reproduce it bit for
-             bit, so nothing is overwritten either way. *)
-          let acc = Gram_stream.create (Array.length needed_idx) in
-          let fused = Fused.compile (Array.map (fun i -> bases.(i)) needed_idx) in
-          let scratch = Domain.DLS.get data.fused_scratch_key in
-          let out =
-            Array.init (Array.length needed_idx) (fun _ -> Array.make src.src_chunk_rows 0.)
-          in
-          src.src_iter (fun ~row0 ~len columns ->
-              Fused.eval_columns_into fused ~scratch ~columns ~n:len ~out;
-              Gram_stream.update acc ~columns:out ~targets ~row0 ~len);
-          let pos = Array.make k (-1) in
-          Array.iteri (fun p i -> pos.(i) <- p) needed_idx;
-          for i = 0 to k - 1 do
-            if missing_dot_y.(i) then begin
-              dot_ys.(i) <- Gram_stream.dot_y acc pos.(i);
-              store_target data (bases.(i), tid) dot_ys.(i)
-            end;
-            if missing_sum.(i) then begin
-              col_sums.(i) <- Gram_stream.col_sum acc pos.(i);
-              store_target data (bases.(i), 0) col_sums.(i)
-            end;
-            if missing_finite.(i) then begin
-              finite_bases.(i) <- Gram_stream.finite acc pos.(i);
-              store_finite data bases.(i) finite_bases.(i)
-            end;
-            for j = i to k - 1 do
-              if missing_dot.(i).(j) then begin
-                let v = Gram_stream.dot acc pos.(i) pos.(j) in
-                dots.(i).(j) <- v;
-                dots.(j).(i) <- v;
-                store_pair data (bases.(i), bases.(j)) v
-              end
-            done
-          done
-        end;
-        { dots; dot_ys; col_sums; finite_bases }
+  let keys = Array.map Hashed.make bases in
+  let tid = target_id data targets in
+  let dots = Array.make_matrix k k Float.nan in
+  let dot_ys = Array.make k Float.nan in
+  let col_sums = Array.make k Float.nan in
+  let finite_bases = Array.make k true in
+  (* Which entries the caches already hold: the upper triangle only (the
+     pair key is unordered, so both halves are the same word), mirrored.
+     Any gap marks every basis it involves. *)
+  let missing_dot = Array.make_matrix k k false in
+  let missing_dot_y = Array.make k false in
+  let missing_sum = Array.make k false in
+  let missing_finite = Array.make k false in
+  let needed = Array.make k false in
+  for i = 0 to k - 1 do
+    (match find_target data (keys.(i), tid) with
+    | Some v -> dot_ys.(i) <- v
+    | None ->
+        missing_dot_y.(i) <- true;
+        needed.(i) <- true);
+    (match find_target data (keys.(i), 0) with
+    | Some v -> col_sums.(i) <- v
+    | None ->
+        missing_sum.(i) <- true;
+        needed.(i) <- true);
+    (match find_finite data keys.(i) with
+    | Some v -> finite_bases.(i) <- v
+    | None ->
+        missing_finite.(i) <- true;
+        needed.(i) <- true);
+    for j = i to k - 1 do
+      match find_pair data (keys.(i), keys.(j)) with
+      | Some v ->
+          dots.(i).(j) <- v;
+          dots.(j).(i) <- v
+      | None ->
+          missing_dot.(i).(j) <- true;
+          needed.(i) <- true;
+          needed.(j) <- true
+    done
+  done;
+  if Array.exists Fun.id needed then begin
+    let gaps = gap_values data keys ~targets ~needed in
+    for i = 0 to k - 1 do
+      if missing_dot_y.(i) then begin
+        dot_ys.(i) <- gaps.gap_dot_y i;
+        store_target data (keys.(i), tid) dot_ys.(i)
+      end;
+      if missing_sum.(i) then begin
+        col_sums.(i) <- gaps.gap_col_sum i;
+        store_target data (keys.(i), 0) col_sums.(i)
+      end;
+      if missing_finite.(i) then begin
+        finite_bases.(i) <- gaps.gap_finite i;
+        store_finite data keys.(i) finite_bases.(i)
+      end;
+      for j = i to k - 1 do
+        if missing_dot.(i).(j) then begin
+          let v = gaps.gap_dot i j in
+          dots.(i).(j) <- v;
+          dots.(j).(i) <- v;
+          store_pair data (keys.(i), keys.(j)) v
+        end
+      done
+    done
+  end;
+  { dots; dot_ys; col_sums; finite_bases }
 
 let iter_basis_chunks data bases ~f =
   if Array.length bases = 0 then invalid_arg "Dataset.iter_basis_chunks: no bases";
@@ -748,7 +774,7 @@ let cached_columns data =
   Array.fold_left
     (fun acc shard ->
       Mutex.lock shard.lock;
-      let count = Compiled.Tbl.length shard.table in
+      let count = Basis_tbl.length shard.table in
       Mutex.unlock shard.lock;
       acc + count)
     0 data.shards
@@ -761,7 +787,7 @@ let stats data =
   Array.iter
     (fun shard ->
       Mutex.lock shard.lock;
-      columns_cached := !columns_cached + Compiled.Tbl.length shard.table;
+      columns_cached := !columns_cached + Basis_tbl.length shard.table;
       column_hits := !column_hits + shard.hits;
       column_misses := !column_misses + shard.misses;
       column_evictions := !column_evictions + shard.evictions;
@@ -817,7 +843,7 @@ let clear_cache data =
   Array.iter
     (fun shard ->
       Mutex.lock shard.lock;
-      Compiled.Tbl.reset shard.table;
+      Basis_tbl.reset shard.table;
       Mutex.unlock shard.lock)
     data.shards;
   Array.iter
@@ -828,7 +854,7 @@ let clear_cache data =
       Mutex.unlock shard.dot_lock)
     data.dot_shards;
   Mutex.lock data.finite_lock;
-  Compiled.Tbl.reset data.finite_table;
+  Basis_tbl.reset data.finite_table;
   Mutex.unlock data.finite_lock
 
 let cache_limit data = data.cache_limit

@@ -24,7 +24,9 @@
     [⟨col_i, col_j⟩] under an unordered structural-hash pair key, and
     {!dot_target} memoizes [⟨col_i, y⟩] per registered target array, so
     the Gram matrix of an individual whose bases recur across the
-    population is assembled from cached entries.  Both caches expose
+    population is assembled from cached entries ({!gram}).  Cache keys
+    carry the basis's structural hash, computed once per call, and compare
+    physical identity before structure.  Both caches expose
     hit/miss/eviction counters through {!stats}. *)
 
 module Expr = Caffeine_expr.Expr
@@ -164,17 +166,20 @@ type gram = {
 
 val gram : t -> Expr.basis array -> targets:float array -> gram
 (** Every product {!Caffeine_regress.Linfit.fit_gram} needs for one
-    individual, in one batch.  On chunked storage this is the streaming
-    workhorse: entries already memoized in the dot cache are reused
-    without touching the data; the remaining entries are accumulated by
-    {!Caffeine_regress.Gram_stream} in a single pass over the chunks
-    (each scalar carried across chunk boundaries in row order, hence
-    bit-identical to the dense sequential products), then installed into
-    the caches.  Per-basis finiteness is screened in the same pass and
-    cached separately, so a fully-warm cache means no data pass at all.
-    On dense storage the entries come from {!dot} / {!dot_target} /
-    {!column_sum} directly.  Raises [Invalid_argument] when [targets]
-    does not have one entry per sample. *)
+    individual, in one batch — the assembly {!Caffeine.Model.fit} uses on
+    both storages.  Each basis is hashed once per call, and only the upper
+    triangle ([j >= i]) is looked up and mirrored: the pair key is
+    unordered, so both halves hold the same word.  Entries already
+    memoized are reused without touching the data; the gaps come from the
+    memoized columns on dense storage (the same products {!dot} /
+    {!dot_target} / {!column_sum} compute), and on chunked storage are
+    accumulated by {!Caffeine_regress.Gram_stream} in a single pass over
+    the chunks (each scalar carried across chunk boundaries in row order,
+    hence bit-identical to the dense sequential products).  Either way
+    they are installed into the caches.  Per-basis finiteness is screened
+    with the gaps and cached separately, so a fully-warm cache means no
+    column scan and no data pass at all.  Raises [Invalid_argument] when
+    [targets] does not have one entry per sample. *)
 
 val iter_basis_chunks :
   t ->

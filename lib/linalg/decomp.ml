@@ -1,28 +1,31 @@
 exception Singular
 
-(* Householder QR.  A first pass applies reflectors H_k to a working copy of
-   [a], producing R with P a = R for P = H_{n-1} … H_0.  Since each reflector
-   is symmetric, Q = Pᵀ = H_0 … H_{n-1}; a second pass applies the stored
-   reflectors in reverse order to a thin identity to materialize Q. *)
-let qr a =
+(* Householder QR in two passes.  [householder] applies reflectors H_k to a
+   working copy of [a], producing R with P a = R for P = H_{n-1} … H_0, and
+   keeps the reflectors.  Since each reflector is symmetric, Q = Pᵀ =
+   H_0 … H_{n-1}; [q_of] applies the stored reflectors in reverse order to a
+   thin identity to materialize Q.  The passes are separate so the solvers
+   below can check the rank on R first and skip the Q pass when a
+   rank-deficient design takes the ridge route instead. *)
+let apply_reflector target k v vnorm2 =
+  let m = Matrix.rows target and width = Matrix.cols target in
+  for j = 0 to width - 1 do
+    let dot = ref 0. in
+    for i = k to m - 1 do
+      dot := !dot +. (v.(i) *. Matrix.get target i j)
+    done;
+    let factor = 2. *. !dot /. vnorm2 in
+    if factor <> 0. then
+      for i = k to m - 1 do
+        Matrix.set target i j (Matrix.get target i j -. (factor *. v.(i)))
+      done
+  done
+
+let householder a =
   let m = Matrix.rows a and n = Matrix.cols a in
   if m < n then invalid_arg "Decomp.qr: need rows >= cols";
   let r = Matrix.copy a in
   let reflectors = Array.make n None in
-  let apply_reflector target k v vnorm2 =
-    let width = Matrix.cols target in
-    for j = 0 to width - 1 do
-      let dot = ref 0. in
-      for i = k to m - 1 do
-        dot := !dot +. (v.(i) *. Matrix.get target i j)
-      done;
-      let factor = 2. *. !dot /. vnorm2 in
-      if factor <> 0. then
-        for i = k to m - 1 do
-          Matrix.set target i j (Matrix.get target i j -. (factor *. v.(i)))
-        done
-    done
-  in
   for k = 0 to n - 1 do
     let norm = ref 0. in
     for i = k to m - 1 do
@@ -48,14 +51,22 @@ let qr a =
       end
     end
   done;
+  let r_top = Matrix.init n n (fun i j -> if i <= j then Matrix.get r i j else 0.) in
+  (reflectors, r_top)
+
+let q_of ~m reflectors =
+  let n = Array.length reflectors in
   let q = Matrix.init m n (fun i j -> if i = j then 1. else 0.) in
   for k = n - 1 downto 0 do
     match reflectors.(k) with
     | None -> ()
     | Some (v, vnorm2) -> apply_reflector q k v vnorm2
   done;
-  let r_top = Matrix.init n n (fun i j -> if i <= j then Matrix.get r i j else 0.) in
-  (q, r_top)
+  q
+
+let qr a =
+  let reflectors, r = householder a in
+  (q_of ~m:(Matrix.rows a) reflectors, r)
 
 let solve_upper_triangular r b =
   let n = Matrix.rows r in
@@ -171,58 +182,41 @@ let gram_trace a =
   done;
   (g, Float.max !acc 1.)
 
-let ridge_solve ?ridge a b =
+(* One factorization of a design serves both the solve and the leverages:
+   either the thin QR of a full-rank [a], or the Cholesky factor of the
+   ridge-regularized Gram [aᵀa + λI] when [a] is wide or numerically
+   rank-deficient.  Q is only built once R has shown full rank. *)
+type factored =
+  | Full_rank of Matrix.t * Matrix.t  (* q, r *)
+  | Ridge of Matrix.t  (* l with l lᵀ = aᵀa + λI *)
+
+let ridge_factor ?ridge a =
   let n = Matrix.cols a in
   let g, trace = gram_trace a in
   let lambda = match ridge with Some r -> r | None -> 1e-10 *. trace /. float_of_int n in
-  let regularized =
-    Matrix.init n n (fun i j ->
-        let base = Matrix.get g i j in
-        if i = j then base +. lambda else base)
-  in
-  let atb = Matrix.mul_vec (Matrix.transpose a) b in
-  solve_spd regularized atb
+  cholesky
+    (Matrix.init n n (fun i j ->
+         let base = Matrix.get g i j in
+         if i = j then base +. lambda else base))
 
-let lstsq ?ridge a b =
-  if Matrix.rows a <> Array.length b then invalid_arg "Decomp.lstsq: dimension mismatch";
-  if Matrix.rows a < Matrix.cols a then ridge_solve ?ridge a b
+let factor ?ridge a =
+  if Matrix.rows a < Matrix.cols a then Ridge (ridge_factor ?ridge a)
   else
-    let q, r = qr a in
-    if rank_from_r r < Matrix.cols a then ridge_solve ?ridge a b
-    else
-      let qtb = Matrix.mul_vec (Matrix.transpose q) b in
-      solve_upper_triangular r qtb
+    let reflectors, r = householder a in
+    if rank_from_r r < Matrix.cols a then Ridge (ridge_factor ?ridge a)
+    else Full_rank (q_of ~m:(Matrix.rows a) reflectors, r)
 
-let hat_diag ?ridge a =
+let solve_factored f a b =
+  match f with
+  | Full_rank (q, r) -> solve_upper_triangular r (Matrix.mul_vec (Matrix.transpose q) b)
+  | Ridge l ->
+      let atb = Matrix.mul_vec (Matrix.transpose a) b in
+      solve_upper_triangular (Matrix.transpose l) (solve_lower_triangular l atb)
+
+let leverages f a =
   let m = Matrix.rows a and n = Matrix.cols a in
-  let via_ridge () =
-    (* h_ii = aᵢᵀ (aᵀa + λI)⁻¹ aᵢ, one SPD solve per column of aᵀ. *)
-    let g, trace = gram_trace a in
-    let lambda = match ridge with Some r -> r | None -> 1e-10 *. trace /. float_of_int n in
-    let regularized =
-      Matrix.init n n (fun i j ->
-          let base = Matrix.get g i j in
-          if i = j then base +. lambda else base)
-    in
-    let l = cholesky regularized in
-    let h = Array.make m 0. in
-    for i = 0 to m - 1 do
-      let ai = Matrix.row a i in
-      let y = solve_lower_triangular l ai in
-      let z = solve_upper_triangular (Matrix.transpose l) y in
-      let acc = ref 0. in
-      for k = 0 to n - 1 do
-        acc := !acc +. (ai.(k) *. z.(k))
-      done;
-      h.(i) <- !acc
-    done;
-    h
-  in
-  if m < n then via_ridge ()
-  else
-    let q, r = qr a in
-    if rank_from_r r < n then via_ridge ()
-    else
+  match f with
+  | Full_rank (q, _) ->
       Array.init m (fun i ->
           let acc = ref 0. in
           for j = 0 to n - 1 do
@@ -230,11 +224,33 @@ let hat_diag ?ridge a =
             acc := !acc +. (qij *. qij)
           done;
           !acc)
+  | Ridge l ->
+      (* h_ii = aᵢᵀ (aᵀa + λI)⁻¹ aᵢ, one SPD solve per column of aᵀ. *)
+      let h = Array.make m 0. in
+      for i = 0 to m - 1 do
+        let ai = Matrix.row a i in
+        let y = solve_lower_triangular l ai in
+        let z = solve_upper_triangular (Matrix.transpose l) y in
+        let acc = ref 0. in
+        for k = 0 to n - 1 do
+          acc := !acc +. (ai.(k) *. z.(k))
+        done;
+        h.(i) <- !acc
+      done;
+      h
+
+let lstsq ?ridge a b =
+  if Matrix.rows a <> Array.length b then invalid_arg "Decomp.lstsq: dimension mismatch";
+  solve_factored (factor ?ridge a) a b
+
+let hat_diag ?ridge a = leverages (factor ?ridge a) a
 
 let press ?ridge a b =
-  let coeffs = lstsq ?ridge a b in
+  if Matrix.rows a <> Array.length b then invalid_arg "Decomp.press: dimension mismatch";
+  let f = factor ?ridge a in
+  let coeffs = solve_factored f a b in
   let predicted = Matrix.mul_vec a coeffs in
-  let leverages = hat_diag ?ridge a in
+  let leverages = leverages f a in
   let m = Matrix.rows a in
   let acc = ref 0. in
   for i = 0 to m - 1 do

@@ -36,7 +36,8 @@ val lstsq : ?ridge:float -> Matrix.t -> float array -> float array
 (** [lstsq a b] minimizes [‖a x - b‖₂] via QR.  When [a] is numerically
     rank-deficient the problem is re-solved as ridge regression
     [(aᵀa + λI) x = aᵀ b] with [λ = ridge] (default [1e-10] scaled by the
-    Gram trace), which always succeeds. *)
+    Gram trace), which always succeeds.  R is checked for rank before Q is
+    built, so the ridge route never pays for Q. *)
 
 val hat_diag : ?ridge:float -> Matrix.t -> float array
 (** [hat_diag a] is the diagonal of the projection ("hat") matrix
@@ -47,4 +48,6 @@ val hat_diag : ?ridge:float -> Matrix.t -> float array
 val press : ?ridge:float -> Matrix.t -> float array -> float
 (** [press a b] is the Predicted Residual Sum of Squares for the linear model
     [a x = b]: [Σ ((b_i - ŷ_i) / (1 - h_ii))²], an O(n³) shortcut for
-    leave-one-out cross-validation of the linear parameters. *)
+    leave-one-out cross-validation of the linear parameters.  Equal word
+    for word to composing {!lstsq} and {!hat_diag}, but the design is
+    factored once for both. *)

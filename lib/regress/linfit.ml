@@ -134,13 +134,20 @@ let press ~basis_values ~targets =
    either data path. *)
 let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
   let dim = k + 1 in
-  let g =
-    Matrix.init dim dim (fun i j ->
-        if i = 0 && j = 0 then float_of_int n
-        else if i = 0 then col_sum (j - 1)
-        else if j = 0 then col_sum (i - 1)
-        else dot (i - 1) (j - 1))
-  in
+  (* [dot] is symmetric, so only the upper triangle is read and mirrored:
+     k(k+1)/2 products and k column sums per fit. *)
+  let g = Matrix.create dim dim in
+  Matrix.set g 0 0 (float_of_int n);
+  for i = 1 to k do
+    let s = col_sum (i - 1) in
+    Matrix.set g 0 i s;
+    Matrix.set g i 0 s;
+    for j = i to k do
+      let v = dot (i - 1) (j - 1) in
+      Matrix.set g i j v;
+      Matrix.set g j i v
+    done
+  done;
   let degenerate = ref false in
   let d =
     Array.init dim (fun i ->
@@ -264,7 +271,7 @@ let forward_select ?(executor = Caffeine_par.Executor.sequential) ?max_bases
   let total = Array.length basis_values in
   let cap = match max_bases with Some m -> min m total | None -> total in
   let n = Array.length targets in
-  if n = 0 then invalid_arg "Linfit.press: no targets";
+  if n = 0 then invalid_arg "Linfit.forward_select: no targets";
   let usable = Array.map Stats.is_finite_array basis_values in
   let chosen_mask = Array.make total false in
   let chosen = ref [] in (* reverse selection order *)

@@ -61,7 +61,11 @@ val fit_gram :
     accuracy (non-positive diagonal, singular factorization, or a minimum
     Cholesky pivot below 1e-3 of the maximum) the call transparently falls
     back to {!fit}, so the result always matches the QR answer within the
-    engine's 1e-8 contract. *)
+    engine's 1e-8 contract.
+
+    [dot] must be symmetric ([dot i j] and [dot j i] the same word): the
+    assembly reads only the upper triangle, [dot i j] for [j >= i]
+    (k(k+1)/2 calls), mirrors it, and calls [col_sum] once per basis. *)
 
 val fit_stream :
   dot:(int -> int -> float) ->

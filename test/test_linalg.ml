@@ -218,6 +218,66 @@ let test_press_equals_explicit_loo () =
   done;
   check_close ~tol:1e-6 "press = explicit LOO" !explicit press
 
+(* --- the factor-once solvers, bit for bit ---
+
+   [lstsq], [hat_diag] and [press] share one factorization and build Q only
+   once R has shown full rank.  These checks pin every word against the
+   explicit compositions over the public [qr]. *)
+
+let bits_equal msg expected actual =
+  Alcotest.(check (array int64)) msg
+    (Array.map Int64.bits_of_float expected)
+    (Array.map Int64.bits_of_float actual)
+
+(* Tall random designs (full rank), and the same designs with a column
+   duplicated (rank-deficient: the ridge route). *)
+let decomp_designs () =
+  List.concat_map
+    (fun seed ->
+      let rng = Rng.create ~seed () in
+      let m = 8 + Rng.int rng 20 and n = 1 + Rng.int rng 5 in
+      let a = random_matrix rng m n in
+      let dup = Matrix.init m (n + 1) (fun i j -> Matrix.get a i (if j < n then j else 0)) in
+      [ (`Full, a, random_vector rng m); (`Deficient, dup, random_vector rng m) ])
+    (List.init 12 (fun i -> 40 + i))
+
+let explicit_press a b =
+  let coeffs = Decomp.lstsq a b in
+  let predicted = Matrix.mul_vec a coeffs in
+  let leverages = Decomp.hat_diag a in
+  let acc = ref 0. in
+  Array.iteri
+    (fun i y ->
+      let e = (y -. predicted.(i)) /. Float.max (1. -. leverages.(i)) 1e-9 in
+      acc := !acc +. (e *. e))
+    b;
+  !acc
+
+let test_factored_solvers_bitwise () =
+  List.iter
+    (fun (rank, a, b) ->
+      let q, r = Decomp.qr a in
+      let n = Matrix.cols a in
+      (match rank with
+      | `Full ->
+          Alcotest.(check int) "full rank" n (Decomp.rank_from_r r);
+          bits_equal "lstsq = R⁻¹ Qᵀb"
+            (Decomp.solve_upper_triangular r (Matrix.mul_vec (Matrix.transpose q) b))
+            (Decomp.lstsq a b);
+          bits_equal "hat_diag = row sums of q²"
+            (Array.init (Matrix.rows a) (fun i ->
+                 let acc = ref 0. in
+                 for j = 0 to n - 1 do
+                   let qij = Matrix.get q i j in
+                   acc := !acc +. (qij *. qij)
+                 done;
+                 !acc))
+            (Decomp.hat_diag a)
+      | `Deficient ->
+          Alcotest.(check bool) "rank-deficient" true (Decomp.rank_from_r r < n));
+      bits_equal "press = lstsq ∘ hat_diag" [| explicit_press a b |] [| Decomp.press a b |])
+    (decomp_designs ())
+
 (* --- complex --- *)
 
 let complex_close msg (a : Complex.t) (b : Complex.t) =
@@ -432,6 +492,7 @@ let suite =
     Alcotest.test_case "lstsq: rank-deficient fallback" `Quick test_lstsq_rank_deficient_falls_back;
     Alcotest.test_case "hat diag: range and trace" `Quick test_hat_diag_range_and_trace;
     Alcotest.test_case "press equals explicit LOO" `Quick test_press_equals_explicit_loo;
+    Alcotest.test_case "factor-once solvers are bitwise" `Quick test_factored_solvers_bitwise;
     Alcotest.test_case "qr_update: validation" `Quick test_qr_update_validation;
     Alcotest.test_case "qr_update: duplicate rejected" `Quick test_qr_update_rejects_duplicate_column;
     Alcotest.test_case "cmatrix: real system" `Quick test_cmatrix_solve_real_system;

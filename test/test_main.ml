@@ -25,4 +25,5 @@ let () =
       ("io", Test_io.suite);
       ("stream", Test_stream.suite);
       ("cli", Test_cli.suite);
+      ("fronts", Test_fronts.suite);
     ]

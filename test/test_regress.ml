@@ -34,6 +34,11 @@ let test_fit_rejects_nonfinite_columns () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let test_forward_select_rejects_empty_targets () =
+  Alcotest.check_raises "names forward_select"
+    (Invalid_argument "Linfit.forward_select: no targets") (fun () ->
+      ignore (Linfit.forward_select ~basis_values:[| [||] |] ~targets:[||] () : int array))
+
 let test_predict_matches_fit () =
   let col = [| 1.; 2.; 3.; 4. |] in
   let targets = [| 3.; 5.; 7.; 9. |] in
@@ -247,6 +252,8 @@ let suite =
     Alcotest.test_case "forward select: cap" `Quick test_forward_select_respects_max_bases;
     Alcotest.test_case "forward select: non-finite" `Quick test_forward_select_skips_nonfinite_columns;
     Alcotest.test_case "forward select: noise rejected" `Quick test_forward_select_stops_on_noise;
+    Alcotest.test_case "forward select: empty targets" `Quick
+      test_forward_select_rejects_empty_targets;
     Alcotest.test_case "design matrix shape" `Quick test_design_matrix_shape;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests

@@ -177,7 +177,105 @@ let test_front_identity () =
       check_same "chunked/domains"
         (Search.run ~seed:23 ~executor config ~data:chunked ~targets).Search.front)
 
+(* {2 Gram assembly}
+
+   [Dataset.gram] hashes each basis once, looks up only the upper triangle
+   and mirrors it.  Pinned here against the single-product API on both
+   storages, on individuals with a duplicated basis, a structurally equal
+   but physically distinct copy, and reversed order. *)
+
+let gram_eq (a : Dataset.gram) (b : Dataset.gram) =
+  a.Dataset.finite_bases = b.Dataset.finite_bases
+  && Array.for_all2 farr_eq a.Dataset.dots b.Dataset.dots
+  && farr_eq a.Dataset.dot_ys b.Dataset.dot_ys
+  && farr_eq a.Dataset.col_sums b.Dataset.col_sums
+
+let gram_of_api data bases ~targets =
+  {
+    Dataset.dots = Array.map (fun a -> Array.map (fun b -> Dataset.dot data a b) bases) bases;
+    dot_ys = Array.map (fun b -> Dataset.dot_target data b ~targets) bases;
+    col_sums = Array.map (Dataset.column_sum data) bases;
+    finite_bases =
+      Array.map (fun b -> Caffeine_util.Stats.is_finite_array (Dataset.basis_column data b)) bases;
+  }
+
+let distinct bases =
+  Array.of_list
+    (List.fold_left
+       (fun acc b -> if List.exists (Expr.equal_basis b) acc then acc else acc @ [ b ])
+       [] (Array.to_list bases))
+
+(* A structurally equal basis that shares no memory with the original. *)
+let deep_copy (b : Expr.basis) : Expr.basis = Marshal.from_string (Marshal.to_string b []) 0
+
+let test_gram_assembly () =
+  let fits_checked = ref 0 in
+  for seed = 0 to 24 do
+    let n = 23 in
+    let columns, targets, raw = make_case ~seed ~n ~dims:3 ~k:4 in
+    let bases = distinct raw in
+    let k = Array.length bases in
+    let copy = Array.map deep_copy bases in
+    Alcotest.(check bool) "copies are physically distinct" true (copy.(0) != bases.(0));
+    let individuals =
+      [
+        bases;
+        Array.append bases [| bases.(0) |];
+        Array.append bases copy;
+        Array.of_list (List.rev (Array.to_list bases));
+      ]
+    in
+    List.iter
+      (fun ind ->
+        let dense = Dataset.of_columns columns in
+        let chunked = Dataset.chunked_of_columns ~chunk_rows:5 columns in
+        let reference = gram_of_api (Dataset.of_columns columns) ind ~targets in
+        let cold = Dataset.gram dense ind ~targets in
+        let warm = Dataset.gram dense ind ~targets in
+        Alcotest.(check bool) "cold dense gram = single products" true (gram_eq reference cold);
+        Alcotest.(check bool) "warm dense gram = single products" true (gram_eq reference warm);
+        Alcotest.(check bool) "single products from gram's entries" true
+          (gram_eq reference (gram_of_api dense ind ~targets));
+        Alcotest.(check bool) "chunked gram = dense gram" true
+          (gram_eq cold (Dataset.gram chunked ind ~targets)))
+      individuals;
+    (* Warm lookups: the upper triangle plus one target and one column-sum
+       product per basis, every one a hit. *)
+    let data = Dataset.of_columns columns in
+    let g = Dataset.gram data bases ~targets in
+    let before = Dataset.stats data in
+    ignore (Dataset.gram data bases ~targets : Dataset.gram);
+    let after = Dataset.stats data in
+    Alcotest.(check int) "warm hits" ((k * (k + 1) / 2) + (2 * k))
+      (after.Dataset.dot_hits - before.Dataset.dot_hits);
+    Alcotest.(check int) "warm misses" 0 (after.Dataset.dot_misses - before.Dataset.dot_misses);
+    if Array.for_all Fun.id g.Dataset.finite_bases then begin
+      incr fits_checked;
+      let calls = ref 0 in
+      let dot i j =
+        incr calls;
+        g.Dataset.dots.(i).(j)
+      in
+      let dot_y i = g.Dataset.dot_ys.(i) and col_sum i = g.Dataset.col_sums.(i) in
+      let basis_values = Array.map (Dataset.basis_column data) bases in
+      let via_gram = Linfit.fit_gram ~dot ~dot_y ~col_sum ~basis_values ~targets in
+      Alcotest.(check int) "fit_gram reads the upper triangle" (k * (k + 1) / 2) !calls;
+      let streamed =
+        Linfit.fit_stream ~dot ~dot_y ~col_sum ~k ~n
+          ~iter:(fun f -> Dataset.iter_basis_chunks data bases ~f)
+          ~targets
+      in
+      Alcotest.(check bool) "fit_gram = fit_stream, word for word" true
+        (feq via_gram.Linfit.intercept streamed.Linfit.intercept
+        && farr_eq via_gram.Linfit.weights streamed.Linfit.weights
+        && farr_eq via_gram.Linfit.predictions streamed.Linfit.predictions
+        && feq via_gram.Linfit.train_error streamed.Linfit.train_error)
+    end
+  done;
+  Alcotest.(check bool) "some individuals were finite" true (!fits_checked > 0)
+
 let suite =
   Alcotest.test_case "evolved fronts are bit-identical across storages/backends" `Quick
     test_front_identity
+  :: Alcotest.test_case "gram assembly: upper triangle, hashed keys" `Quick test_gram_assembly
   :: List.map QCheck_alcotest.to_alcotest property_tests
