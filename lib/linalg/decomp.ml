@@ -1,68 +1,75 @@
 exception Singular
 
-(* Householder QR in two passes.  [householder] applies reflectors H_k to a
-   working copy of [a], producing R with P a = R for P = H_{n-1} … H_0, and
-   keeps the reflectors.  Since each reflector is symmetric, Q = Pᵀ =
-   H_0 … H_{n-1}; [q_of] applies the stored reflectors in reverse order to a
-   thin identity to materialize Q.  The passes are separate so the solvers
-   below can check the rank on R first and skip the Q pass when a
-   rank-deficient design takes the ridge route instead. *)
-let apply_reflector target k v vnorm2 =
-  let m = Matrix.rows target and width = Matrix.cols target in
-  for j = 0 to width - 1 do
-    let dot = ref 0. in
+(* Householder QR in two passes.  [householder_columns] applies reflectors
+   H_k to working copies of the columns, one float array each, producing R
+   with P a = R for P = H_{n-1} … H_0, and keeps the reflectors.  A
+   reflector reads and writes one column at a time, rows >= k only, so H_k
+   is applied to columns j >= k alone: rows >= k of an earlier column lie
+   below its diagonal and never reach R.  Since each reflector is
+   symmetric, Q = Pᵀ = H_0 … H_{n-1}; [q_of] applies the stored reflectors
+   in reverse order to a thin identity to materialize Q.  The passes are
+   separate so the solvers below can check the rank on R first and skip
+   the Q pass when a rank-deficient design takes the ridge route. *)
+let reflect col k v vnorm2 =
+  let m = Array.length col in
+  let dot = ref 0. in
+  for i = k to m - 1 do
+    dot := !dot +. (v.(i) *. col.(i))
+  done;
+  let factor = 2. *. !dot /. vnorm2 in
+  if factor <> 0. then
     for i = k to m - 1 do
-      dot := !dot +. (v.(i) *. Matrix.get target i j)
-    done;
-    let factor = 2. *. !dot /. vnorm2 in
-    if factor <> 0. then
-      for i = k to m - 1 do
-        Matrix.set target i j (Matrix.get target i j -. (factor *. v.(i)))
-      done
-  done
+      col.(i) <- col.(i) -. (factor *. v.(i))
+    done
 
-let householder a =
-  let m = Matrix.rows a and n = Matrix.cols a in
+let householder_columns cols =
+  let n = Array.length cols in
+  let m = if n = 0 then invalid_arg "Decomp.qr: no columns" else Array.length cols.(0) in
+  if Array.exists (fun c -> Array.length c <> m) cols then invalid_arg "Decomp.qr: ragged columns";
   if m < n then invalid_arg "Decomp.qr: need rows >= cols";
-  let r = Matrix.copy a in
   let reflectors = Array.make n None in
   for k = 0 to n - 1 do
+    let c = cols.(k) in
     let norm = ref 0. in
     for i = k to m - 1 do
-      let x = Matrix.get r i k in
-      norm := !norm +. (x *. x)
+      norm := !norm +. (c.(i) *. c.(i))
     done;
     let norm = sqrt !norm in
     if norm > 0. then begin
       let v = Array.make m 0. in
-      let head = Matrix.get r k k in
+      let head = c.(k) in
       let alpha = if head >= 0. then -.norm else norm in
       v.(k) <- head -. alpha;
       for i = k + 1 to m - 1 do
-        v.(i) <- Matrix.get r i k
+        v.(i) <- c.(i)
       done;
       let vnorm2 = ref 0. in
       for i = k to m - 1 do
         vnorm2 := !vnorm2 +. (v.(i) *. v.(i))
       done;
       if !vnorm2 > 0. then begin
-        apply_reflector r k v !vnorm2;
+        for j = k to n - 1 do
+          reflect cols.(j) k v !vnorm2
+        done;
         reflectors.(k) <- Some (v, !vnorm2)
       end
     end
   done;
-  let r_top = Matrix.init n n (fun i j -> if i <= j then Matrix.get r i j else 0.) in
-  (reflectors, r_top)
+  (reflectors, Matrix.init n n (fun i j -> if i <= j then cols.(j).(i) else 0.))
 
+let householder a = householder_columns (Array.init (Matrix.cols a) (Matrix.column a))
+
+(* Every column of the identity gets every reflector: left of k that is a
+   no-op for finite reflectors, and it keeps Q the same word on any input. *)
 let q_of ~m reflectors =
   let n = Array.length reflectors in
-  let q = Matrix.init m n (fun i j -> if i = j then 1. else 0.) in
+  let cols = Array.init n (fun j -> Array.init m (fun i -> if i = j then 1. else 0.)) in
   for k = n - 1 downto 0 do
     match reflectors.(k) with
     | None -> ()
-    | Some (v, vnorm2) -> apply_reflector q k v vnorm2
+    | Some (v, vnorm2) -> Array.iter (fun col -> reflect col k v vnorm2) cols
   done;
-  q
+  Matrix.init m n (fun i j -> cols.(j).(i))
 
 let qr a =
   let reflectors, r = householder a in
@@ -173,14 +180,8 @@ let rank_from_r ?(tol = 1e-10) r =
   done;
   !count
 
-let gram_trace a =
-  let n = Matrix.cols a in
-  let g = Matrix.gram a in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. Matrix.get g i i
-  done;
-  (g, Float.max !acc 1.)
+let column_rank ?tol columns =
+  rank_from_r ?tol (snd (householder_columns (Array.map Array.copy columns)))
 
 (* One factorization of a design serves both the solve and the leverages:
    either the thin QR of a full-rank [a], or the Cholesky factor of the
@@ -190,28 +191,37 @@ type factored =
   | Full_rank of Matrix.t * Matrix.t  (* q, r *)
   | Ridge of Matrix.t  (* l with l lᵀ = aᵀa + λI *)
 
-let ridge_factor ?ridge a =
-  let n = Matrix.cols a in
-  let g, trace = gram_trace a in
+let ridge_factor ?ridge g =
+  let n = Matrix.cols g in
+  let trace = ref 0. in
+  for i = 0 to n - 1 do
+    trace := !trace +. Matrix.get g i i
+  done;
+  let trace = Float.max !trace 1. in
   let lambda = match ridge with Some r -> r | None -> 1e-10 *. trace /. float_of_int n in
   cholesky
     (Matrix.init n n (fun i j ->
          let base = Matrix.get g i j in
          if i = j then base +. lambda else base))
 
+let solve_ridge l atb = solve_upper_triangular (Matrix.transpose l) (solve_lower_triangular l atb)
+
+let ridge_solve ?ridge g atb =
+  if Matrix.rows g <> Matrix.cols g || Matrix.rows g <> Array.length atb then
+    invalid_arg "Decomp.ridge_solve: dimension mismatch";
+  solve_ridge (ridge_factor ?ridge g) atb
+
 let factor ?ridge a =
-  if Matrix.rows a < Matrix.cols a then Ridge (ridge_factor ?ridge a)
+  if Matrix.rows a < Matrix.cols a then Ridge (ridge_factor ?ridge (Matrix.gram a))
   else
     let reflectors, r = householder a in
-    if rank_from_r r < Matrix.cols a then Ridge (ridge_factor ?ridge a)
+    if rank_from_r r < Matrix.cols a then Ridge (ridge_factor ?ridge (Matrix.gram a))
     else Full_rank (q_of ~m:(Matrix.rows a) reflectors, r)
 
 let solve_factored f a b =
   match f with
   | Full_rank (q, r) -> solve_upper_triangular r (Matrix.mul_vec (Matrix.transpose q) b)
-  | Ridge l ->
-      let atb = Matrix.mul_vec (Matrix.transpose a) b in
-      solve_upper_triangular (Matrix.transpose l) (solve_lower_triangular l atb)
+  | Ridge l -> solve_ridge l (Matrix.mul_vec (Matrix.transpose a) b)
 
 let leverages f a =
   let m = Matrix.rows a and n = Matrix.cols a in

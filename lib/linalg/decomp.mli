@@ -10,7 +10,15 @@ exception Singular
 val qr : Matrix.t -> Matrix.t * Matrix.t
 (** [qr a] for an [m x n] matrix with [m >= n] returns the thin factorization
     [(q, r)] where [q] is [m x n] with orthonormal columns and [r] is
-    [n x n] upper triangular with [a = q r]. *)
+    [n x n] upper triangular with [a = q r].  The Householder pass is
+    column-major (one float array per column, reflector [k] applied to
+    columns [j >= k] only) and is the one every solver here runs. *)
+
+val column_rank : ?tol:float -> float array array -> int
+(** [column_rank columns] is {!rank_from_r} of the R that {!qr} computes for
+    the matrix with these columns, without building a {!Matrix.t}.  The
+    arrays are not modified; raises [Invalid_argument] unless they share a
+    length at least their count. *)
 
 val solve_upper_triangular : Matrix.t -> float array -> float array
 (** Back substitution; raises {!Singular} on a zero pivot. *)
@@ -33,11 +41,17 @@ val rank_from_r : ?tol:float -> Matrix.t -> int
 (** Numerical rank estimated from the diagonal of an upper-triangular factor. *)
 
 val lstsq : ?ridge:float -> Matrix.t -> float array -> float array
-(** [lstsq a b] minimizes [‖a x - b‖₂] via QR.  When [a] is numerically
-    rank-deficient the problem is re-solved as ridge regression
+(** [lstsq a b] minimizes [‖a x - b‖₂] via QR.  When [a] is wide or
+    numerically rank-deficient the problem is re-solved as ridge regression
     [(aᵀa + λI) x = aᵀ b] with [λ = ridge] (default [1e-10] scaled by the
-    Gram trace), which always succeeds.  R is checked for rank before Q is
-    built, so the ridge route never pays for Q. *)
+    Gram trace), which always succeeds: {!ridge_solve} of [Matrix.gram a].
+    R is checked for rank before Q is built, so the ridge route never pays
+    for Q. *)
+
+val ridge_solve : ?ridge:float -> Matrix.t -> float array -> float array
+(** [ridge_solve g atb] is {!lstsq}'s ridge route for a caller that already
+    holds [g = aᵀa] and [atb = aᵀb]: the same words, given the same words.
+    Raises {!Singular} if [g + λI] is not positive definite. *)
 
 val hat_diag : ?ridge:float -> Matrix.t -> float array
 (** [hat_diag a] is the diagonal of the projection ("hat") matrix

@@ -12,6 +12,7 @@ let m_fits = Metrics.counter Metrics.default "linfit.fits"
 let m_qr_fallbacks = Metrics.counter Metrics.default "linfit.qr_fallbacks"
 let m_gram_fits = Metrics.counter Metrics.default "linfit.gram_fits"
 let m_gram_fallbacks = Metrics.counter Metrics.default "linfit.gram_fallbacks"
+let m_ridge_fallbacks = Metrics.counter Metrics.default "linfit.ridge_fallbacks"
 let m_forward_rounds = Metrics.counter Metrics.default "linfit.forward_rounds"
 
 type t = {
@@ -65,27 +66,36 @@ let incremental_design columns targets =
     in
     add 0
 
+let finish ~targets coeffs predictions =
+  {
+    intercept = coeffs.(0);
+    weights = Array.sub coeffs 1 (Array.length coeffs - 1);
+    predictions;
+    train_error = Stats.normalized_error targets predictions;
+  }
+
+(* The updatable QR of [ones | columns], shared by every fitting entry
+   point; [on_rejection ()] answers when it rejects a column. *)
+let qr_fit ~columns ~targets ~on_rejection =
+  Metrics.incr m_fits;
+  match incremental_design columns targets with
+  | Some qr -> finish ~targets (Qr_update.coefficients qr) (Qr_update.predictions qr)
+  | None ->
+      Metrics.incr m_qr_fallbacks;
+      on_rejection ()
+
+let scratch_fit ~columns ~targets =
+  let design = design_matrix columns in
+  let coeffs = Decomp.lstsq design targets in
+  finish ~targets coeffs (Matrix.mul_vec design coeffs)
+
 let fit ~basis_values ~targets =
   if Array.length basis_values = 0 then fit_constant ~targets
   else begin
     let n = check_columns "Linfit.fit" basis_values in
     if n <> Array.length targets then invalid_arg "Linfit.fit: sample count mismatch";
-    let finish coeffs predictions =
-      {
-        intercept = coeffs.(0);
-        weights = Array.sub coeffs 1 (Array.length coeffs - 1);
-        predictions;
-        train_error = Stats.normalized_error targets predictions;
-      }
-    in
-    Metrics.incr m_fits;
-    match incremental_design basis_values targets with
-    | Some qr -> finish (Qr_update.coefficients qr) (Qr_update.predictions qr)
-    | None ->
-        Metrics.incr m_qr_fallbacks;
-        let design = design_matrix basis_values in
-        let coeffs = Decomp.lstsq design targets in
-        finish coeffs (Matrix.mul_vec design coeffs)
+    qr_fit ~columns:basis_values ~targets ~on_rejection:(fun () ->
+        scratch_fit ~columns:basis_values ~targets)
   end
 
 let predict model ~basis_values =
@@ -127,11 +137,14 @@ let press ~basis_values ~targets =
 (* Shared core of the normal-equations fast path: assemble the bordered
    Gram matrix from the supplied products and solve it with the guards —
    unit-diagonal equilibration, a minimum Cholesky-pivot threshold, one
-   iterative-refinement step.  [None] means a guard tripped and the caller
-   must take its QR fallback.  Both the dense ({!fit_gram}) and the
-   streaming ({!fit_stream}) entry points run exactly this code, so a
-   given set of products yields the same coefficients word for word on
-   either data path. *)
+   iterative-refinement step.  [Declined (g, aty)] means a guard tripped:
+   the caller takes its fallback, fed the bordered Gram [g] just assembled
+   and its right-hand side [aty] = [Σy; ⟨colᵢ, y⟩].  The dense
+   ({!fit_gram}) and the streaming ({!fit_stream}) entry points both run
+   exactly this code, so a given set of products yields the same
+   coefficients word for word on either data path. *)
+type gram_solve = Solved of float array | Declined of Matrix.t * float array
+
 let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
   let dim = k + 1 in
   (* [dot] is symmetric, so only the upper triangle is read and mirrored:
@@ -148,6 +161,9 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
       Matrix.set g j i v
     done
   done;
+  let aty =
+    Array.init dim (fun i -> if i = 0 then Array.fold_left ( +. ) 0. targets else dot_y (i - 1))
+  in
   let degenerate = ref false in
   let d =
     Array.init dim (fun i ->
@@ -158,16 +174,12 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
           1.
         end)
   in
-  if !degenerate then None
+  if !degenerate then Declined (g, aty)
   else begin
     let gs = Matrix.init dim dim (fun i j -> d.(i) *. Matrix.get g i j *. d.(j)) in
-    let rs =
-      Array.init dim (fun i ->
-          let raw = if i = 0 then Array.fold_left ( +. ) 0. targets else dot_y (i - 1) in
-          d.(i) *. raw)
-    in
+    let rs = Array.init dim (fun i -> d.(i) *. aty.(i)) in
     match Decomp.cholesky gs with
-    | exception Decomp.Singular -> None
+    | exception Decomp.Singular -> Declined (g, aty)
     | l ->
         let min_pivot = ref Float.infinity and max_pivot = ref 0. in
         for i = 0 to dim - 1 do
@@ -177,7 +189,7 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
         done;
         (* Pivot ratio ~ 1/sqrt(cond): below 1e-3 the squared conditioning
            threatens the 1e-8 agreement contract, so use QR instead. *)
-        if !min_pivot < 1e-3 *. !max_pivot then None
+        if !min_pivot < 1e-3 *. !max_pivot then Declined (g, aty)
         else begin
           let lt = Matrix.transpose l in
           let solve b = Decomp.solve_upper_triangular lt (Decomp.solve_lower_triangular l b) in
@@ -191,53 +203,39 @@ let gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets =
                 !acc)
           in
           let dx = solve residual in
-          Some (Array.init dim (fun i -> (x0.(i) +. dx.(i)) *. d.(i)))
+          Solved (Array.init dim (fun i -> (x0.(i) +. dx.(i)) *. d.(i)))
         end
   end
 
-let finish_gram ~coeffs ~k ~predictions ~targets =
-  {
-    intercept = coeffs.(0);
-    weights = Array.sub coeffs 1 k;
-    predictions;
-    train_error = Stats.normalized_error targets predictions;
-  }
+(* [ones | columns] times [coeffs], summed in [Matrix.mul_vec]'s order. *)
+let design_predictions columns coeffs =
+  Array.init (Array.length columns.(0)) (fun i ->
+      let acc = ref (0. +. (1. *. coeffs.(0))) in
+      Array.iteri (fun j col -> acc := !acc +. (col.(i) *. coeffs.(j + 1))) columns;
+      !acc)
 
-(* Per-individual fast path: solve the normal equations from a bordered
-   Gram matrix whose entries the caller supplies (typically memoized dot
-   products shared across the population), falling back to the QR path
-   ({!fit}) whenever a conditioning guard trips. *)
-let fit_gram ~dot ~dot_y ~col_sum ~basis_values ~targets =
-  let k = Array.length basis_values in
-  if k = 0 then fit_constant ~targets
-  else begin
-    let n = check_columns "Linfit.fit_gram" basis_values in
-    if n <> Array.length targets then invalid_arg "Linfit.fit_gram: sample count mismatch";
-    Metrics.incr m_gram_fits;
-    match gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets with
-    | None ->
-        Metrics.incr m_gram_fallbacks;
-        fit ~basis_values ~targets
-    | Some coeffs ->
-        let predictions =
-          Array.init n (fun i ->
-              let acc = ref coeffs.(0) in
-              for j = 0 to k - 1 do
-                acc := !acc +. (coeffs.(j + 1) *. basis_values.(j).(i))
-              done;
-              !acc)
-        in
-        finish_gram ~coeffs ~k ~predictions ~targets
-  end
+(* The one fallback of {!fit_stream}, fed the bordered Gram [g] and the
+   [aty] it declined.  After the updatable QR rejects a column, a wide or
+   rank-deficient [ones | columns] is solved by ridge from them: the same
+   row-order sums [Matrix.gram] and [Matrix.mul_vec] of the design add,
+   hence [Decomp.lstsq]'s words. *)
+let gram_fallback ~g ~aty ~columns ~targets =
+  qr_fit ~columns ~targets ~on_rejection:(fun () ->
+      let n = Array.length targets and dim = Array.length columns + 1 in
+      if n >= dim && Decomp.column_rank (Array.append [| Array.make n 1. |] columns) = dim then
+        scratch_fit ~columns ~targets
+      else begin
+        Metrics.incr m_ridge_fallbacks;
+        let coeffs = Decomp.ridge_solve g aty in
+        finish ~targets coeffs (design_predictions columns coeffs)
+      end)
 
-(* Streaming variant: identical solve, but basis values arrive as row
-   chunks through [iter] instead of materialized columns.  The prediction
-   for each sample is computed with the same per-row operation order as
-   {!fit_gram}'s loop (each sample's accumulation is independent), so the
-   two paths return bit-identical predictions given bit-identical
-   products.  The QR fallback has no streaming form — it materializes the
-   columns through one [iter] pass and delegates to {!fit}, which is the
-   same computation the dense fallback performs. *)
+(* The normal-equations fast path, with basis values arriving as row
+   chunks through [iter]: solve the bordered Gram whose entries the caller
+   supplies (typically memoized dot products shared across the
+   population), then one [iter] pass for the predictions.  The fallback
+   has no streaming form: when a guard trips, that pass materializes the
+   columns instead and [gram_fallback] runs on them. *)
 let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
   if k = 0 then fit_constant ~targets
   else begin
@@ -245,15 +243,16 @@ let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
     if n <> Array.length targets then invalid_arg "Linfit.fit_stream: sample count mismatch";
     Metrics.incr m_gram_fits;
     match gram_coefficients ~dot ~dot_y ~col_sum ~n ~k ~targets with
-    | None ->
+    | Declined (g, aty) ->
         Metrics.incr m_gram_fallbacks;
         let basis_values = Array.init k (fun _ -> Array.make n 0.) in
         iter (fun ~row0 ~len (columns : float array array) ->
             for j = 0 to k - 1 do
               Array.blit columns.(j) 0 basis_values.(j) row0 len
             done);
-        fit ~basis_values ~targets
-    | Some coeffs ->
+        ignore (check_columns "Linfit.fit_stream" basis_values : int);
+        gram_fallback ~g ~aty ~columns:basis_values ~targets
+    | Solved coeffs ->
         let predictions = Array.make n 0. in
         iter (fun ~row0 ~len (columns : float array array) ->
             for i = 0 to len - 1 do
@@ -263,7 +262,18 @@ let fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets =
               done;
               predictions.(row0 + i) <- !acc
             done);
-        finish_gram ~coeffs ~k ~predictions ~targets
+        finish ~targets coeffs predictions
+  end
+
+(* {!fit_gram} is the streaming path over one whole-data chunk. *)
+let fit_gram ~dot ~dot_y ~col_sum ~basis_values ~targets =
+  let k = Array.length basis_values in
+  if k = 0 then fit_constant ~targets
+  else begin
+    let n = check_columns "Linfit.fit_gram" basis_values in
+    if n <> Array.length targets then invalid_arg "Linfit.fit_gram: sample count mismatch";
+    fit_stream ~dot ~dot_y ~col_sum ~k ~n ~targets ~iter:(fun f ->
+        f ~row0:0 ~len:n basis_values)
   end
 
 let forward_select ?(executor = Caffeine_par.Executor.sequential) ?max_bases

@@ -20,9 +20,11 @@
 
     The engine reports into {!Caffeine_obs.Metrics.default}: counters
     [linfit.fits], [linfit.qr_fallbacks] (rank-deficient sets refactorized
-    by the scratch path), [linfit.gram_fits], [linfit.gram_fallbacks]
-    (Gram solves that tripped a conditioning guard) and
-    [linfit.forward_rounds] (accepted forward-selection rounds). *)
+    by the scratch path), [linfit.ridge_fallbacks] (those of them that the
+    Gram fallback solved by ridge from the Gram in hand),
+    [linfit.gram_fits], [linfit.gram_fallbacks] (Gram solves that tripped
+    a conditioning guard) and [linfit.forward_rounds] (accepted
+    forward-selection rounds). *)
 
 type t = {
   intercept : float;
@@ -59,9 +61,13 @@ val fit_gram :
     population) — and solve by Cholesky with unit-diagonal equilibration
     and one iterative-refinement step.  When conditioning threatens
     accuracy (non-positive diagonal, singular factorization, or a minimum
-    Cholesky pivot below 1e-3 of the maximum) the call transparently falls
-    back to {!fit}, so the result always matches the QR answer within the
-    engine's 1e-8 contract.
+    Cholesky pivot below 1e-3 of the maximum) the call falls back, fed the
+    Gram just assembled: the updatable QR of {!fit} runs first; a set it
+    rejects that is wide or rank-deficient is solved by
+    {!Caffeine_linalg.Decomp.ridge_solve} on that Gram, and a full-rank one
+    by [Decomp.lstsq] of the design.  Given row-order dot products from
+    [0.] (as {!Caffeine_io.Dataset} computes them) every route returns the
+    words {!fit} returns.
 
     [dot] must be symmetric ([dot i j] and [dot j i] the same word): the
     assembly reads only the upper triangle, [dot i j] for [j >= i]
@@ -87,10 +93,11 @@ val fit_stream :
     typically a {!Gram_stream} accumulation (see
     {!Caffeine_io.Dataset.gram}), whose chunk-carried accumulators
     reproduce the dense sequential dot products exactly.  When a
-    conditioning guard trips, the columns are materialized through one
-    extra [iter] pass and the call falls back to {!fit} — the identical
-    fallback computation to {!fit_gram}'s.  [iter] is invoked at most
-    twice (prediction pass, or materialization on fallback). *)
+    conditioning guard trips, the columns are materialized through the
+    [iter] pass instead of the prediction pass, and the call takes
+    {!fit_gram}'s fallback on them, fed the same Gram.  [iter] is invoked
+    exactly once either way.  A non-finite materialized column raises
+    [Invalid_argument]. *)
 
 val predict : t -> basis_values:float array array -> float array
 (** Apply fitted weights to basis values measured at other sample points. *)

@@ -278,6 +278,113 @@ let test_factored_solvers_bitwise () =
       bits_equal "press = lstsq ∘ hat_diag" [| explicit_press a b |] [| Decomp.press a b |])
     (decomp_designs ())
 
+(* --- the Householder pass, bit for bit ---
+
+   [Decomp] runs its Householder pass on per-column arrays and applies
+   reflector k to columns j >= k only.  [reference_qr] is the row-major
+   pass it replaced, kept here verbatim as the oracle: every reflector is
+   applied to every column through [Matrix.get]/[Matrix.set]. *)
+
+let reference_apply_reflector target k v vnorm2 =
+  let m = Matrix.rows target and width = Matrix.cols target in
+  for j = 0 to width - 1 do
+    let dot = ref 0. in
+    for i = k to m - 1 do
+      dot := !dot +. (v.(i) *. Matrix.get target i j)
+    done;
+    let factor = 2. *. !dot /. vnorm2 in
+    if factor <> 0. then
+      for i = k to m - 1 do
+        Matrix.set target i j (Matrix.get target i j -. (factor *. v.(i)))
+      done
+  done
+
+let reference_qr a =
+  let m = Matrix.rows a and n = Matrix.cols a in
+  let r = Matrix.copy a in
+  let reflectors = Array.make n None in
+  for k = 0 to n - 1 do
+    let norm = ref 0. in
+    for i = k to m - 1 do
+      let x = Matrix.get r i k in
+      norm := !norm +. (x *. x)
+    done;
+    let norm = sqrt !norm in
+    if norm > 0. then begin
+      let v = Array.make m 0. in
+      let head = Matrix.get r k k in
+      let alpha = if head >= 0. then -.norm else norm in
+      v.(k) <- head -. alpha;
+      for i = k + 1 to m - 1 do
+        v.(i) <- Matrix.get r i k
+      done;
+      let vnorm2 = ref 0. in
+      for i = k to m - 1 do
+        vnorm2 := !vnorm2 +. (v.(i) *. v.(i))
+      done;
+      if !vnorm2 > 0. then begin
+        reference_apply_reflector r k v !vnorm2;
+        reflectors.(k) <- Some (v, !vnorm2)
+      end
+    end
+  done;
+  let r_top = Matrix.init n n (fun i j -> if i <= j then Matrix.get r i j else 0.) in
+  let q = Matrix.init m n (fun i j -> if i = j then 1. else 0.) in
+  for k = n - 1 downto 0 do
+    match reflectors.(k) with
+    | None -> ()
+    | Some (v, vnorm2) -> reference_apply_reflector q k v vnorm2
+  done;
+  (q, r_top)
+
+let householder_cases () =
+  let rng = Rng.create ~seed:77 () in
+  let tall = random_matrix rng 14 4 in
+  let with_column a j f = Matrix.init (Matrix.rows a) (Matrix.cols a) (fun i c ->
+      if c = j then f i else Matrix.get a i c) in
+  [
+    ("random tall", tall);
+    ("square", random_matrix rng 5 5);
+    ("one column", random_matrix rng 9 1);
+    ("duplicated column", with_column tall 3 (fun i -> Matrix.get tall i 0));
+    ("zero column", with_column tall 1 (fun _ -> 0.));
+    ("multiple of another column", with_column tall 2 (fun i -> -2.5 *. Matrix.get tall i 0));
+  ]
+
+let flat m = Array.concat (Array.to_list (Matrix.to_arrays m))
+
+let test_householder_bitwise () =
+  List.iter
+    (fun (name, a) ->
+      let q_ref, r_ref = reference_qr a in
+      let q, r = Decomp.qr a in
+      bits_equal (name ^ ": R") (flat r_ref) (flat r);
+      bits_equal (name ^ ": Q") (flat q_ref) (flat q);
+      let columns = Array.init (Matrix.cols a) (Matrix.column a) in
+      let before = Array.map Array.copy columns in
+      Alcotest.(check int) (name ^ ": column rank") (Decomp.rank_from_r r_ref)
+        (Decomp.column_rank columns);
+      Array.iteri (fun j c -> bits_equal (name ^ ": columns untouched") before.(j) c) columns)
+    (householder_cases ());
+  List.iter
+    (fun (msg, columns) ->
+      Alcotest.check_raises msg (Invalid_argument ("Decomp.qr: " ^ msg)) (fun () ->
+          ignore (Decomp.column_rank columns : int)))
+    [
+      ("need rows >= cols", [| [| 1. |]; [| 2. |] |]);
+      ("ragged columns", [| [| 1.; 2. |]; [| 2. |] |]);
+      ("no columns", [||]);
+    ]
+
+(* [ridge_solve] is the ridge route of [lstsq], given the Gram. *)
+let test_ridge_solve_is_lstsq_route () =
+  List.iter
+    (fun (rank, a, b) ->
+      if rank = `Deficient then
+        bits_equal "ridge_solve (aᵀa) (aᵀb) = lstsq a b" (Decomp.lstsq a b)
+          (Decomp.ridge_solve (Matrix.gram a) (Matrix.mul_vec (Matrix.transpose a) b)))
+    (decomp_designs ())
+
 (* --- complex --- *)
 
 let complex_close msg (a : Complex.t) (b : Complex.t) =
@@ -493,6 +600,10 @@ let suite =
     Alcotest.test_case "hat diag: range and trace" `Quick test_hat_diag_range_and_trace;
     Alcotest.test_case "press equals explicit LOO" `Quick test_press_equals_explicit_loo;
     Alcotest.test_case "factor-once solvers are bitwise" `Quick test_factored_solvers_bitwise;
+    Alcotest.test_case "householder: column-major pass is bitwise" `Quick
+      test_householder_bitwise;
+    Alcotest.test_case "ridge_solve is lstsq's ridge route" `Quick
+      test_ridge_solve_is_lstsq_route;
     Alcotest.test_case "qr_update: validation" `Quick test_qr_update_validation;
     Alcotest.test_case "qr_update: duplicate rejected" `Quick test_qr_update_rejects_duplicate_column;
     Alcotest.test_case "cmatrix: real system" `Quick test_cmatrix_solve_real_system;

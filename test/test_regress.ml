@@ -172,6 +172,103 @@ let reference_forward_select ?max_bases ?(tolerance = 1e-6) ~basis_values ~targe
   done;
   Array.of_list (List.rev !chosen)
 
+(* --- the Gram fallback, word for word ---
+
+   When the Gram guard declines, [fit_gram] and [fit_stream] fall back to
+   the updatable QR and, when it rejects a column, solve from the Gram they
+   already hold.  The oracle is the explicit scratch composition the
+   fallback used to run — [design_matrix] → [Decomp.lstsq] →
+   [Matrix.mul_vec] — or, for a set the updatable QR accepts, [fit]. *)
+
+module Matrix = Caffeine_linalg.Matrix
+module Decomp = Caffeine_linalg.Decomp
+module Metrics = Caffeine_obs.Metrics
+module Stats = Caffeine_util.Stats
+
+let bits = Array.map Int64.bits_of_float
+
+let fit_words (f : Linfit.t) =
+  bits
+    (Array.concat
+       [ [| f.Linfit.intercept; f.Linfit.train_error |]; f.Linfit.weights; f.Linfit.predictions ])
+
+let scratch_words columns targets =
+  let design = Linfit.design_matrix columns in
+  let coeffs = Decomp.lstsq design targets in
+  let predictions = Matrix.mul_vec design coeffs in
+  bits
+    (Array.concat
+       [
+         [| coeffs.(0); Stats.normalized_error targets predictions |];
+         Array.sub coeffs 1 (Array.length columns);
+         predictions;
+       ])
+
+(* Row-order products from [0.], the ones [Dataset] supplies. *)
+let row_dot a b =
+  let acc = ref 0. in
+  Array.iteri (fun i x -> acc := !acc +. (x *. b.(i))) a;
+  !acc
+
+let fallback_cases () =
+  let rng = Rng.create ~seed:31 () in
+  let col n = Array.init n (fun _ -> Rng.range rng (-2.) 2.) in
+  let a = col 12 and b = col 12 and c = col 12 in
+  let noise = Array.map (fun x -> 1e-5 *. x) c in
+  (* name, columns, rejected by the updatable QR, solved by ridge *)
+  [
+    ("duplicated basis", [| a; b; a |], true, true);
+    ("scaled copy", [| a; Array.map (fun x -> 3. *. x) b; b |], true, true);
+    ("all-zero column", [| a; Array.make 12 0. |], true, true);
+    ("constant column", [| a; Array.make 12 2.5 |], true, true);
+    ("n < k+1", [| col 3; col 3; col 3; col 3 |], true, true);
+    ("offset column, full rank after rejection", [| a; Array.map (fun x -> 1e12 +. x) b |], true,
+      false);
+    ("ill-conditioned, accepted by the QR", [| a; Array.map2 ( +. ) a noise |], false, false);
+  ]
+
+let test_gram_fallback_oracle () =
+  let counter name = Metrics.counter Metrics.default name in
+  let gram_fallbacks = counter "linfit.gram_fallbacks"
+  and qr_fallbacks = counter "linfit.qr_fallbacks"
+  and ridge_fallbacks = counter "linfit.ridge_fallbacks" in
+  List.iter
+    (fun (name, columns, rejected, ridge) ->
+      let k = Array.length columns and n = Array.length columns.(0) in
+      let targets = Array.init n (fun i -> Float.sin (float_of_int i) +. columns.(0).(i)) in
+      let ones = Array.make n 1. in
+      let dot i j = row_dot columns.(i) columns.(j)
+      and dot_y i = row_dot columns.(i) targets
+      and col_sum i = row_dot columns.(i) ones in
+      let iter f =
+        let lo = ref 0 in
+        while !lo < n do
+          let len = min 5 (n - !lo) in
+          f ~row0:!lo ~len (Array.map (fun c -> Array.sub c !lo len) columns);
+          lo := !lo + len
+        done
+      in
+      let expected =
+        if rejected then scratch_words columns targets
+        else fit_words (Linfit.fit ~basis_values:columns ~targets)
+      in
+      let run label fit_once =
+        let value c = Metrics.counter_value c in
+        let g0 = value gram_fallbacks and q0 = value qr_fallbacks and r0 = value ridge_fallbacks in
+        let fitted = fit_once () in
+        let label = name ^ ", " ^ label in
+        Alcotest.(check (array int64)) (label ^ ": words") expected (fit_words fitted);
+        Alcotest.(check int) (label ^ ": gram_fallbacks") 1 (value gram_fallbacks - g0);
+        Alcotest.(check int) (label ^ ": qr_fallbacks") (Bool.to_int rejected)
+          (value qr_fallbacks - q0);
+        Alcotest.(check int) (label ^ ": ridge_fallbacks") (Bool.to_int ridge)
+          (value ridge_fallbacks - r0)
+      in
+      run "fit_gram" (fun () ->
+          Linfit.fit_gram ~dot ~dot_y ~col_sum ~basis_values:columns ~targets);
+      run "fit_stream" (fun () -> Linfit.fit_stream ~dot ~dot_y ~col_sum ~k ~n ~iter ~targets))
+    (fallback_cases ())
+
 let rel_vec_close tol a b =
   let norm v = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v) in
   Array.length a = Array.length b
@@ -255,5 +352,7 @@ let suite =
     Alcotest.test_case "forward select: empty targets" `Quick
       test_forward_select_rejects_empty_targets;
     Alcotest.test_case "design matrix shape" `Quick test_design_matrix_shape;
+    Alcotest.test_case "gram fallback: scratch oracle and counters" `Quick
+      test_gram_fallback_oracle;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests
