@@ -844,6 +844,10 @@ let experiment_regress options =
         /. Float.max (Float.abs scratch_press_value) 1e-30);
     let sel_bases = Array.init k (fun i -> bases.(selection.(i))) in
     let scale i = scales.(selection.(i)) in
+    (* Rescaled products are not the row-order sums of [cols] word for
+       word.  Forward selection only admits full-rank prefixes, so the Gram
+       path or the QR answers here; a rank-deficient set would be solved by
+       ridge from these products and could differ from [fit] by rounding. *)
     let gram =
       Linfit.fit_gram
         ~dot:(fun i j -> Dataset.dot data sel_bases.(i) sel_bases.(j) /. (scale i *. scale j))
@@ -889,7 +893,9 @@ let experiment_regress options =
   let t_gram_fit =
     (* Warm: every ⟨col_i,col_j⟩ and ⟨col_i,y⟩ is already in the dot cache
        after the agreement sweep, so this measures the population steady
-       state where Model.fit assembles the Gram matrix from cache hits. *)
+       state where Model.fit assembles the Gram matrix from cache hits.
+       The selected set is full rank, so the rescaled products never reach
+       the ridge fallback. *)
     let scale i = scales.(selection.(i)) in
     median_time_per_run (fun () ->
         ignore

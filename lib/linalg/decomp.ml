@@ -180,8 +180,8 @@ let rank_from_r ?(tol = 1e-10) r =
   done;
   !count
 
-let column_rank ?tol columns =
-  rank_from_r ?tol (snd (householder_columns (Array.map Array.copy columns)))
+let column_rank columns =
+  rank_from_r (snd (householder_columns (Array.map Array.copy columns)))
 
 (* One factorization of a design serves both the solve and the leverages:
    either the thin QR of a full-rank [a], or the Cholesky factor of the
@@ -206,10 +206,10 @@ let ridge_factor ?ridge g =
 
 let solve_ridge l atb = solve_upper_triangular (Matrix.transpose l) (solve_lower_triangular l atb)
 
-let ridge_solve ?ridge g atb =
+let ridge_solve g atb =
   if Matrix.rows g <> Matrix.cols g || Matrix.rows g <> Array.length atb then
     invalid_arg "Decomp.ridge_solve: dimension mismatch";
-  solve_ridge (ridge_factor ?ridge g) atb
+  solve_ridge (ridge_factor g) atb
 
 let factor ?ridge a =
   if Matrix.rows a < Matrix.cols a then Ridge (ridge_factor ?ridge (Matrix.gram a))

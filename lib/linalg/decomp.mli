@@ -14,8 +14,8 @@ val qr : Matrix.t -> Matrix.t * Matrix.t
     column-major (one float array per column, reflector [k] applied to
     columns [j >= k] only) and is the one every solver here runs. *)
 
-val column_rank : ?tol:float -> float array array -> int
-(** [column_rank columns] is {!rank_from_r} of the R that {!qr} computes for
+val column_rank : float array array -> int
+(** [column_rank columns] is {!rank_from_r} (default tolerance) of the R that {!qr} computes for
     the matrix with these columns, without building a {!Matrix.t}.  The
     arrays are not modified; raises [Invalid_argument] unless they share a
     length at least their count. *)
@@ -48,9 +48,10 @@ val lstsq : ?ridge:float -> Matrix.t -> float array -> float array
     R is checked for rank before Q is built, so the ridge route never pays
     for Q. *)
 
-val ridge_solve : ?ridge:float -> Matrix.t -> float array -> float array
-(** [ridge_solve g atb] is {!lstsq}'s ridge route for a caller that already
-    holds [g = aᵀa] and [atb = aᵀb]: the same words, given the same words.
+val ridge_solve : Matrix.t -> float array -> float array
+(** [ridge_solve g atb] is {!lstsq}'s ridge route, with the default [λ], for
+    a caller that already holds [g = aᵀa] and [atb = aᵀb]: the same words,
+    given the same words.
     Raises {!Singular} if [g + λI] is not positive definite. *)
 
 val hat_diag : ?ridge:float -> Matrix.t -> float array
