@@ -65,9 +65,11 @@ val fit_gram :
     Gram just assembled: the updatable QR of {!fit} runs first; a set it
     rejects that is wide or rank-deficient is solved by
     {!Caffeine_linalg.Decomp.ridge_solve} on that Gram, and a full-rank one
-    by [Decomp.lstsq] of the design.  Given row-order dot products from
-    [0.] (as {!Caffeine_io.Dataset} computes them) every route returns the
-    words {!fit} returns.
+    by [Decomp.lstsq] of the design.  The ridge route solves from the
+    supplied products, not from [basis_values]: only when they are the
+    row-order sums from [0.] of exactly these columns (as
+    {!Caffeine_io.Dataset} computes them) does every route return the
+    words {!fit} returns; other products can move it by rounding.
 
     [dot] must be symmetric ([dot i j] and [dot j i] the same word): the
     assembly reads only the upper triangle, [dot i j] for [j >= i]
